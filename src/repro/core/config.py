@@ -15,6 +15,7 @@ from dataclasses import dataclass, replace
 from repro.errors import InvalidConfigError
 from repro.gpusim.shared_memory import join_block_reservation
 from repro.gpusim.spec import GpuSpec
+from repro.hashing import memoize_hash
 from repro.kernels.common import is_power_of_two
 from repro.kernels.radix_partition import derive_bits_per_pass
 
@@ -22,6 +23,7 @@ HASH_PROBE = "hash"
 NLJ_PROBE = "nlj"
 
 
+@memoize_hash
 @dataclass(frozen=True)
 class GpuJoinConfig:
     """Tuning knobs of the partitioned GPU join."""

@@ -85,11 +85,15 @@ class DeviceMemoryArena:
             raise DeviceMemoryOverflowError(
                 f"arena device id must be >= 0, got {self.device}"
             )
+        #: Running total of the live reservations, kept by
+        #: :meth:`try_reserve` and :meth:`release` (every other path
+        #: releases through it); :meth:`check_invariants` audits it.
+        self._used = sum(item.nbytes for item in self.reservations.values())
 
     # ------------------------------------------------------------------
     @property
     def used_bytes(self) -> int:
-        return sum(item.nbytes for item in self.reservations.values())
+        return self._used
 
     @property
     def free_bytes(self) -> int:
@@ -128,9 +132,9 @@ class DeviceMemoryArena:
         self.reservations[owner] = Reservation(
             owner, int(nbytes), at, self.device
         )
-        used = self.used_bytes
-        self.peak_bytes = max(self.peak_bytes, used)
-        self.timeline.append((at, used))
+        self._used += int(nbytes)
+        self.peak_bytes = max(self.peak_bytes, self._used)
+        self.timeline.append((at, self._used))
         self.check_invariants()
         return True
 
@@ -160,7 +164,8 @@ class DeviceMemoryArena:
                 "the wrong device?)"
             )
         freed = self.reservations.pop(owner).nbytes
-        self.timeline.append((at, self.used_bytes))
+        self._used -= freed
+        self.timeline.append((at, self._used))
         return freed
 
     # ------------------------------------------------------------------
@@ -207,6 +212,12 @@ class DeviceMemoryArena:
     def check_invariants(self) -> None:
         """The accounting the serving benchmark asserts on every run."""
         used = self.used_bytes
+        actual = sum(item.nbytes for item in self.reservations.values())
+        if used != actual:
+            raise DeviceMemoryOverflowError(
+                f"arena running total {used} on device {self.device} "
+                f"differs from its reservations' sum {actual}"
+            )
         if used > self.capacity_bytes:
             raise DeviceMemoryOverflowError(
                 f"arena over-reserved on device {self.device}: "

@@ -47,7 +47,7 @@ import math
 import random
 from collections import deque
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Iterable, Mapping
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping
 
 from repro.errors import FaultInvariantError, FaultPlanError
 
@@ -241,7 +241,8 @@ class _FaultRun:
     the retry backlog (a heap of ``(ready_at, seq, request)`` — ``seq``
     preserves submission order among same-time retries), the attempt
     counters that drive retry aliases and budgets, and the growing
-    :attr:`failed` list.
+    :attr:`failed` list.  ``forget(qid)`` runs when a query fails for
+    good, so the scheduler can drop what it keeps per live query.
     """
 
     def __init__(
@@ -250,8 +251,10 @@ class _FaultRun:
         *,
         max_retries: int,
         backoff: float,
+        forget: Callable[[str], object] = lambda qid: None,
     ) -> None:
         self.plan = plan
+        self.forget = forget
         self.crashes: "deque[DeviceCrash]" = deque(
             sorted(plan.crashes, key=lambda crash: (crash.at, crash.device))
         )
@@ -321,7 +324,7 @@ class _FaultRun:
         attempt = self.attempts.get(request.qid, 0) + 1
         self.attempts[request.qid] = attempt
         if attempt > self.max_retries:
-            self.failed.append(
+            self._fail(
                 FailedOutcome(
                     qid=request.qid,
                     submit_at=request.submit_at,
@@ -343,7 +346,7 @@ class _FaultRun:
         device: int | None = None,
     ) -> None:
         """Record a terminal failure without charging or retrying."""
-        self.failed.append(
+        self._fail(
             FailedOutcome(
                 qid=request.qid,
                 submit_at=request.submit_at,
@@ -352,6 +355,10 @@ class _FaultRun:
                 last_device=device,
             )
         )
+
+    def _fail(self, outcome: FailedOutcome) -> None:
+        self.failed.append(outcome)
+        self.forget(outcome.qid)
 
     def requeue_ready(self, queue: "deque[Any]", clock: float) -> int:
         """Move every retry whose ready time has arrived to the *front*

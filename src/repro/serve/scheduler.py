@@ -89,6 +89,7 @@ from repro.core.strategy import (
     COPROCESSING,
     COPROCESSING_ADAPTIVE,
     JoinPlan,
+    JoinStrategy,
     create_strategy,
     strategy_factory,
 )
@@ -899,17 +900,13 @@ class QueryScheduler:
             create_placement_policy(placement)  # validate the key eagerly
         if isinstance(admission, str):
             create_admission_policy(admission)  # validate the key eagerly
-        #: Solo-placement cache; workloads repeat spec templates and the
-        #: baseline is a pure function of (spec, materialize, pin,
-        #: calibration).  The makespans themselves are memoized
-        #: process-wide by :mod:`repro.core.estimate_cache` (underneath
-        #: ``estimate()``), so re-planning, determinism re-runs and
-        #: sweep levels share kernel-cost work; this dict only saves the
-        #: re-dispatch.
-        self._solo_cache: dict[
-            tuple[JoinSpec, bool, str | None, Calibration | None],
-            tuple[str, float],
-        ] = {}
+        #: One strategy per (key, calibration, grant kwargs), built on
+        #: first use: strategies are stateless once built, and their
+        #: estimates and plans are memoized by the shared estimate cache.
+        self._strategies: dict[tuple, JoinStrategy] = {}
+        #: Each live query's solo (key, seconds) under the scheduler
+        #: default, dropped at its terminal outcome (O(in flight)).
+        self._solo_facts: dict[str, tuple[str, float]] = {}
 
     def _build_fleet(self) -> DeviceFleet:
         """A fresh fleet per run, honouring per-device overrides."""
@@ -946,6 +943,22 @@ class QueryScheduler:
         if key in (COPROCESSING, COPROCESSING_ADAPTIVE):
             return {"device_budget": reserved_bytes}
         return {}
+
+    def _strategy(
+        self, key: str, calibration: Calibration | None, grant: int | None = None
+    ) -> JoinStrategy:
+        """The interned ``key`` strategy under ``calibration`` (the
+        scheduler default when ``None``), honouring memory ``grant``
+        (none: unconstrained)."""
+        calib = calibration if calibration is not None else self.calibration
+        kwargs = {} if grant is None else self._strategy_kwargs(key, grant)
+        interned = (key, calib, *kwargs.items())
+        strategy = self._strategies.get(interned)
+        if strategy is None:
+            strategy = self._strategies[interned] = create_strategy(
+                key, self.system, calib, self.config, **kwargs
+            )
+        return strategy
 
     def _max_degradation_for(self, request: QueryRequest) -> float | None:
         """The degrade-vs-wait bound this query is admitted under: its
@@ -1006,45 +1019,21 @@ class QueryScheduler:
         ladder ranks by memory fit), but the makespan is computed under
         ``calibration`` — a specific device's, or the scheduler default
         when ``None`` — so heterogeneous placement comparisons see each
-        device's own speed.
+        device's own speed.  Under the default it is computed once per
+        live query (:attr:`_solo_facts`).
         """
+        if calibration is None and request.qid in self._solo_facts:
+            return self._solo_facts[request.qid]
         calib = calibration if calibration is not None else self.calibration
-        cache_key = (request.spec, request.materialize, request.strategy, calib)
-        cached = self._solo_cache.get(cache_key)
-        if cached is not None:
-            return cached
         key = request.strategy or choose_strategy_name(
             request.spec, self.system, calibration=calib, config=self.config
         )
-        strategy = create_strategy(key, self.system, calib, self.config)
-        metrics = strategy.estimate(request.spec, materialize=request.materialize)
-        self._solo_cache[cache_key] = (key, metrics.seconds)
-        return key, metrics.seconds
-
-    def _estimate_alone(
-        self,
-        key: str,
-        request: QueryRequest,
-        reserved_bytes: int,
-        calibration: Calibration | None = None,
-    ) -> float:
-        """Estimated makespan of running ``key`` alone for this query,
-        under the same memory grant the admitted strategy would get and
-        under ``calibration`` (the candidate device's; scheduler default
-        when ``None``).  Memoized by the shared estimate cache — the
-        grant and the calibration are both part of the strategy
-        fingerprint, so per-device entries never collide."""
-        calib = calibration if calibration is not None else self.calibration
-        strategy = create_strategy(
-            key,
-            self.system,
-            calib,
-            self.config,
-            **self._strategy_kwargs(key, reserved_bytes),
-        )
-        return strategy.estimate(
+        seconds = self._strategy(key, calib).estimate(
             request.spec, materialize=request.materialize
         ).seconds
+        if calibration is None:
+            self._solo_facts[request.qid] = (key, seconds)
+        return key, seconds
 
     def _offer_estimate(
         self,
@@ -1055,14 +1044,20 @@ class QueryScheduler:
         solo_key: str,
     ) -> float:
         """Alone-makespan of offer ``key`` on a device with
-        ``calibration`` — the :attr:`PlacementCandidate.est_seconds`
-        placement policies rank.  The common non-degraded, no-extras
-        offer short-circuits to the cached solo makespan (the exact
-        same float, which is what keeps homogeneous ranking
-        bit-identical to the historical load-only order)."""
+        ``calibration`` (scheduler default when ``None``) under the
+        ``need``-byte grant the admitted strategy would get — the
+        :attr:`PlacementCandidate.est_seconds` placement policies rank.
+        Memoized by the shared estimate cache: the grant and the
+        calibration ride in the strategy fingerprint, so per-device
+        entries never collide.  The common non-degraded, no-extras
+        offer short-circuits to the solo makespan (the exact same
+        float, which is what keeps homogeneous ranking bit-identical to
+        the historical load-only order)."""
         if key == solo_key and not self._strategy_kwargs(key, need):
             return self._solo(request, calibration)[1]
-        return self._estimate_alone(key, request, need, calibration=calibration)
+        return self._strategy(key, calibration, need).estimate(
+            request.spec, materialize=request.materialize
+        ).seconds
 
     def _prepare_plan(
         self,
@@ -1081,14 +1076,7 @@ class QueryScheduler:
         devices, and a fast device's task durations can never be served
         to a slow one.
         """
-        calib = calibration if calibration is not None else self.calibration
-        strategy = create_strategy(
-            key,
-            self.system,
-            calib,
-            self.config,
-            **self._strategy_kwargs(key, need),
-        )
+        strategy = self._strategy(key, calibration, need)
         plan_key = estimate_cache.make_key(
             strategy.cache_fingerprint(), request.spec, request.materialize, {}
         )
@@ -1554,6 +1542,7 @@ class QueryScheduler:
             faults,
             max_retries=self.max_retries,
             backoff=self.retry_backoff_seconds,
+            forget=lambda qid: self._solo_facts.pop(qid, None),
         )
 
     @staticmethod
@@ -1629,6 +1618,7 @@ class QueryScheduler:
     ) -> ServeReport:
         if len({r.qid for r in requests}) != len(requests):
             raise InvalidConfigError("query ids must be unique")
+        self._solo_facts.clear()  # left over if an error cut a run short
         fleet = self._build_fleet()
         events = self._sorted_events(fleet_events, len(fleet))
         fault_run = self._start_faults(faults, len(fleet), fleet_events)
@@ -1864,6 +1854,7 @@ class QueryScheduler:
                 device.arena.release(qid, at=clock)
                 device.running.remove(qid)
                 del device.predicted_finish[qid]
+                self._solo_facts.pop(qid, None)
                 if fault_run is not None:
                     fault_run.live.pop(qid, None)
             fleet.finalize_retirements()
@@ -1906,15 +1897,15 @@ class QueryScheduler:
     ) -> float:
         """Fleet-wide estimated admission wait for a query arriving at
         ``at``: outstanding running work past ``at`` (by cached
-        predicted finishes) plus the queued queries' cached solo
-        makespans, divided by the device count.  Optimistic — ignores
-        memory fragmentation and lane contention — which biases
-        shedding toward admitting; the SLO is a backpressure valve, not
-        a latency guarantee.  Only *accepting* devices count — a
-        retiring device's remaining work serves nobody in the queue —
-        and queued solos use the scheduler-default calibration (which
-        device they will land on is unknowable here).  O(running +
-        queued), every term served from caches."""
+        predicted finishes) plus the queued queries' solo makespans
+        (their solo facts, summed in queue order), divided by the device
+        count.  Optimistic — ignores memory fragmentation and lane
+        contention — which biases shedding toward admitting; the SLO is
+        a backpressure valve, not a latency guarantee.  Only *accepting*
+        devices count — a retiring device's remaining work serves nobody
+        in the queue — and queued solos use the scheduler-default
+        calibration (which device they will land on is unknowable
+        here).  O(running + queued), one float read per term."""
         backlog = 0.0
         active = fleet.active()
         if not active:
@@ -1926,8 +1917,9 @@ class QueryScheduler:
             for finish in device.predicted_finish.values():
                 if finish > at:
                     backlog += finish - at
+        facts = self._solo_facts
         for queued in wait_queue:
-            backlog += self._solo(queued)[1]
+            backlog += (facts.get(queued.qid) or self._solo(queued))[1]
         return backlog / len(active)
 
     def run_stream(
@@ -2031,6 +2023,7 @@ class QueryScheduler:
             raise InvalidConfigError("slo_wait_seconds must be >= 0")
         if compact_every is not None and compact_every < 1:
             raise InvalidConfigError("compact_every must be >= 1")
+        self._solo_facts.clear()  # left over if an error cut a run short
         fleet = self._build_fleet()
         events = self._sorted_events(fleet_events, len(fleet))
         fault_run = self._start_faults(faults, len(fleet), fleet_events)
@@ -2249,6 +2242,7 @@ class QueryScheduler:
                             class_name=class_name_of(request),
                             tenant=tenant_of(request),
                         ))
+                        self._solo_facts.pop(request.qid, None)
                     for pos in range(len(wait_queue) - 1, -1, -1):
                         if wait_queue[pos].qid in gone:
                             del wait_queue[pos]
@@ -2410,6 +2404,7 @@ class QueryScheduler:
                 if fault_run is not None and finish > makespan:
                     makespan = finish
                 completed.append(outcomes.pop(qid))
+                self._solo_facts.pop(qid, None)
                 device = owner.pop(qid)
                 device.arena.release(qid, at=clock)
                 device.running.remove(qid)

@@ -1,6 +1,8 @@
 """Shared device-memory arena accounting."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import DeviceMemoryOverflowError
 from repro.gpusim import DeviceMemoryArena
@@ -132,3 +134,69 @@ def test_drained_tracks_live_reservations():
     arena.release("a")
     assert arena.drained
     assert arena.timeline[-1][1] == 0
+
+
+def test_running_total_drift_is_caught():
+    """``used_bytes`` is a running total; bypassing the arena's own
+    reserve/release paths desynchronises it, and the audit says so."""
+    arena = DeviceMemoryArena(8 * GB)
+    arena.reserve("q0", GB)
+    arena.check_invariants()
+    del arena.reservations["q0"]
+    with pytest.raises(DeviceMemoryOverflowError, match="running total"):
+        arena.check_invariants()
+
+
+def test_running_total_starts_from_given_reservations():
+    from repro.gpusim.arena import Reservation
+
+    arena = DeviceMemoryArena(8 * GB, reservations={"q0": Reservation("q0", GB)})
+    assert arena.used_bytes == GB
+    arena.check_invariants()
+
+
+#: One arena operation: (kind, owner index, size in units of 1/8 GB).
+OPS = st.lists(
+    st.tuples(
+        st.sampled_from(["reserve", "release", "force_release", "reconcile"]),
+        st.integers(0, 7),
+        st.integers(0, 40),
+    ),
+    max_size=60,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(ops=OPS)
+def test_running_total_matches_reservations_under_any_sequence(ops):
+    unit = GB // 8
+    arena = DeviceMemoryArena(4 * GB)
+    live: dict[str, int] = {}
+    for step, (kind, index, size) in enumerate(ops):
+        owner = f"q{index}"
+        at = float(step)
+        if kind == "reserve":
+            if owner in live:
+                with pytest.raises(DeviceMemoryOverflowError):
+                    arena.try_reserve(owner, size * unit, at=at)
+            elif arena.try_reserve(owner, size * unit, at=at):
+                live[owner] = size * unit
+            else:
+                assert sum(live.values()) + size * unit > arena.capacity_bytes
+        elif kind == "reconcile":
+            owners = sorted(o for o in live if int(o[1:]) <= index)
+            assert arena.reconcile(owners, at=at) == sum(
+                live.pop(o) for o in owners
+            )
+        elif owner not in live:
+            with pytest.raises(DeviceMemoryOverflowError):
+                getattr(arena, kind)(owner, at=at)
+        else:
+            assert getattr(arena, kind)(owner, at=at) == live.pop(owner)
+        assert arena.used_bytes == sum(live.values())
+        assert arena.free_bytes == arena.capacity_bytes - arena.used_bytes
+        if arena.timeline:
+            assert arena.timeline[-1][1] == arena.used_bytes
+        arena.check_invariants()
+    assert arena.peak_bytes <= arena.capacity_bytes
+    assert arena.drained == (not live)
