@@ -25,16 +25,19 @@ call :func:`run_regression` from tests.
 
 The module also guards the serving layer (:func:`run_serve_regression`):
 a small concurrency sweep must be deterministic, keep every device's
-arena within capacity and drained, beat serial back-to-back execution,
-and produce **identical** per-query outcomes through the online
-incremental-extension mode and the batch full-re-simulation mode — on
-one device *and* on a two-device sharded fleet, whose makespan must
-additionally never exceed the single-device makespan — the invariants
-the scheduler promises on every PR.  :func:`run_stream_regression`
-extends the same guarantee to steady-state streaming: on a mid-size
+arena within capacity and drained and beat serial back-to-back
+execution — on one device *and* on a two-device sharded fleet, whose
+makespan must additionally never exceed the single-device makespan —
+the invariants the scheduler promises on every PR.
+:func:`run_fleet_pin_regression` replays the fleet pin: the outcomes
+the batch re-simulation loop recorded before it retired
+(``tests/serve/golden_fleet.json``), for sharded, stealing,
+heterogeneous, elastic, sjf/edf and faulted fleets, must come out of
+``QueryScheduler.run`` bit for bit.  :func:`run_stream_regression`
+extends the guarantee to steady-state streaming: on a mid-size
 open-arrival stream, ``run_stream`` with aggressive schedule
-compaction must match ``run_stream`` without compaction *and*
-``run_online`` on every per-query outcome and the final makespan.
+compaction must match ``run_stream`` without compaction *and* ``run``
+on every per-query outcome and the final makespan.
 :func:`run_golden_regression` pins the heterogeneous-fleet refactor:
 homogeneous fleets — the implicit default *and* explicitly spelled
 per-device capacities/calibrations — must stay bit-identical to the
@@ -43,13 +46,12 @@ golden schedules recorded before per-device calibration existed.
 way: an **empty** :class:`~repro.serve.faults.FaultPlan` must stay
 bit-identical to the golden schedules (the fault machinery may not
 leak into fault-free runs), and crashy seeded plans must conserve
-every query, reconcile every arena, and keep online == batch.
+every query, reconcile every arena, and replay deterministically.
 :func:`run_admission_regression` pins the admission-policy registry:
 the default ``fifo`` policy must stay bit-identical to the golden
-schedules, every reordering policy must keep online == batch on
-classed workloads, ``edf`` must strictly reduce the deadline-miss rate
-against ``fifo`` on the deadline-classed canonical workload, and
-``sjf`` must never worsen its mean latency.
+schedules, ``edf`` must strictly reduce the deadline-miss rate against
+``fifo`` on the deadline-classed canonical workload, and ``sjf`` must
+never worsen its mean latency.
 :func:`run_learned_regression` pins the learned cost-model fast path:
 with a model *fitted and installed* but ``learned=False`` (the
 default) the golden schedules must stay bit-identical — installation
@@ -61,7 +63,9 @@ analytic ladder bounded.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
+from pathlib import Path
 
 from repro.core import estimate_cache
 from repro.core.strategy import (
@@ -201,71 +205,28 @@ def run_serve_regression(
 ) -> list[str]:
     """Assert the serving layer's invariants; returns report lines.
 
-    Each level runs the batch scheduler twice (determinism is checked
-    inside :func:`repro.bench.serve_bench.run_serve`) plus once through
-    the online incremental-extension mode, whose per-query admissions,
-    placements and finish times must be **identical** to batch mode —
-    the serving-layer face of the ``extend()``-equals-``run()``
-    guarantee — and then repeats the pair on a
-    :data:`SERVE_REGRESSION_DEVICES`-device sharded fleet, where the
-    same online==batch identity must hold (device assignments included)
-    and the fleet makespan must never exceed the single-device
-    makespan.  Any violation raises
-    :class:`~repro.errors.SchedulingError`.
+    Each level runs the scheduler twice (determinism is checked inside
+    :func:`repro.bench.serve_bench.run_serve`), then repeats the pair
+    on a :data:`SERVE_REGRESSION_DEVICES`-device sharded fleet, whose
+    makespan must never exceed the single-device makespan.  Any
+    violation raises :class:`~repro.errors.SchedulingError`.
     """
-    import time
-
-    from repro.bench.serve_bench import (
-        fingerprint,
-        fingerprint_sharded,
-        run_serve,
-    )
+    from repro.bench.serve_bench import run_serve
     from repro.errors import SchedulingError
 
     lines: list[str] = []
     for clients in levels:
-        # Both modes run with the determinism re-run included (two
-        # scheduler passes each), so the reported walls compare
-        # like-for-like.
-        start = time.perf_counter()
         report = run_serve(clients, check_determinism=True)
-        batch_wall = time.perf_counter() - start
-        start = time.perf_counter()
-        online = run_serve(clients, online=True, check_determinism=True)
-        online_wall = time.perf_counter() - start
-        if fingerprint(online) != fingerprint(report):
-            raise SchedulingError(
-                f"online admission diverged from batch at {clients} clients"
-            )
-        if online.makespan != report.makespan:
-            raise SchedulingError(
-                f"online makespan {online.makespan!r} != batch "
-                f"{report.makespan!r} at {clients} clients"
-            )
         lines.append(
             f"serve[{clients:2d} clients]: makespan {report.makespan:10.6f} s, "
             f"serial {report.serial_makespan:10.6f} s, peak "
             f"{report.peak_reserved_bytes / 1e9:.2f}/"
             f"{report.capacity_bytes / 1e9:.2f} GB, "
-            f"{report.degraded_count} degraded, online==batch "
-            f"(wall {online_wall:.2f} s vs {batch_wall:.2f} s)  ok"
+            f"{report.degraded_count} degraded  ok"
         )
 
         devices = SERVE_REGRESSION_DEVICES
         sharded = run_serve(clients, devices=devices, check_determinism=True)
-        sharded_online = run_serve(
-            clients, devices=devices, online=True, check_determinism=True
-        )
-        if fingerprint_sharded(sharded_online) != fingerprint_sharded(sharded):
-            raise SchedulingError(
-                f"sharded online admission diverged from batch at "
-                f"{clients} clients on {devices} devices"
-            )
-        if sharded_online.makespan != sharded.makespan:
-            raise SchedulingError(
-                f"sharded online makespan {sharded_online.makespan!r} != "
-                f"batch {sharded.makespan!r} at {clients} clients"
-            )
         if sharded.makespan > report.makespan * (1 + 1e-9):
             raise SchedulingError(
                 f"sharding regressed the makespan at {clients} clients: "
@@ -276,10 +237,162 @@ def run_serve_regression(
             f"serve[{clients:2d} clients, {devices} devices]: makespan "
             f"{sharded.makespan:10.6f} s "
             f"({report.makespan / sharded.makespan:.2f}x vs one device), "
-            f"peaks {'/'.join(f'{p / 1e9:.2f}' for p in sharded.device_peak_bytes)} GB, "
-            "online==batch  ok"
+            f"peaks {'/'.join(f'{p / 1e9:.2f}' for p in sharded.device_peak_bytes)} GB  ok"
         )
     return lines
+
+
+#: Golden single-device schedules (``tools/capture_serve_golden.py``).
+GOLDEN_PATH = (
+    Path(__file__).resolve().parents[3]
+    / "tests" / "serve" / "golden_single_device.json"
+)
+
+
+def _golden() -> dict:
+    return json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))
+
+
+def _matches_golden(report, entry: dict) -> bool:
+    from repro.bench.serve_bench import fingerprint
+
+    return (
+        [list(item) for item in fingerprint(report)] == entry["fingerprint"]
+        and report.makespan == entry["makespan"]
+        and report.peak_reserved_bytes == entry["peak_reserved_bytes"]
+    )
+
+
+#: Recorded fleet pin: per-setup outcomes of ``QueryScheduler.run``
+#: captured from the batch re-simulation loop before it retired
+#: (``tools/capture_serve_golden.py``).
+FLEET_PIN_PATH = (
+    Path(__file__).resolve().parents[3] / "tests" / "serve" / "golden_fleet.json"
+)
+FLEET_PIN_SEEDS = tuple(range(50))
+FLEET_PIN_MAX_QUERIES = 10
+FLEET_PIN_SETUPS = (
+    "least_loaded_2",
+    "steal_3",
+    "hetero_2",
+    "elastic_2",
+    "sjf_2",
+    "edf_2",
+    "faults_2",
+)
+
+
+def fleet_pin_report(setup: str, seed: int):
+    """Serve fleet-pin case (``setup``, ``seed``) through
+    :meth:`~repro.serve.scheduler.QueryScheduler.run`.
+
+    Every setup serves ``random_workload(seed, max_queries=10)``:
+    two least-loaded devices; three devices with stealing; two devices
+    of which device 0 is a 2x ``gpu_scaled`` calibration; an elastic
+    fleet (a device joins at a quarter of the fault-free makespan and
+    device 0 retires at half); sjf and edf admission (edf over the
+    deadline-classed re-stamp of the same queries); and a
+    ``FaultPlan.random`` plan with a 0.3 admission-fault rate under
+    ``max_retries=2``.
+    """
+    from repro.gpusim.calibration import DEFAULT_CALIBRATION
+    from repro.serve import (
+        FaultPlan,
+        FleetEvent,
+        QueryScheduler,
+        random_workload,
+        with_classes,
+    )
+
+    requests = random_workload(seed, max_queries=FLEET_PIN_MAX_QUERIES)
+    if setup == "least_loaded_2":
+        return QueryScheduler(devices=2, placement="least_loaded").run(requests)
+    if setup == "steal_3":
+        return QueryScheduler(devices=3, steal=True).run(requests)
+    if setup == "hetero_2":
+        return QueryScheduler(
+            devices=2,
+            device_calibrations=[DEFAULT_CALIBRATION.gpu_scaled(2.0), None],
+        ).run(requests)
+    if setup == "sjf_2":
+        return QueryScheduler(devices=2, admission="sjf").run(requests)
+    if setup == "edf_2":
+        return QueryScheduler(devices=2, admission="edf").run(
+            with_classes(requests)
+        )
+    scheduler = QueryScheduler(devices=2)
+    horizon = scheduler.run(requests).makespan
+    if setup == "elastic_2":
+        events = [
+            FleetEvent(
+                at=0.25 * horizon,
+                action="add",
+                capacity_bytes=scheduler.system.gpu.device_memory,
+            ),
+            FleetEvent(at=0.5 * horizon, action="retire", device=0),
+        ]
+        return QueryScheduler(devices=2).run(requests, fleet_events=events)
+    if setup == "faults_2":
+        plan = FaultPlan.random(
+            seed,
+            devices=2,
+            horizon=horizon,
+            qids=[request.qid for request in requests],
+            admission_fault_rate=0.3,
+        )
+        return QueryScheduler(devices=2, max_retries=2).run(
+            requests, faults=plan
+        )
+    raise ValueError(f"unknown fleet pin setup {setup!r}")
+
+
+def fleet_pin_entry(report) -> dict:
+    """The pinned facts of one fleet-pin run: the sharded outcome
+    fingerprint, the failed queries (sorted by qid: the order failures
+    are recorded in is loop bookkeeping, not an outcome) and the
+    makespan."""
+    from repro.bench.serve_bench import fingerprint_sharded
+
+    return {
+        "fingerprint_sharded": [
+            list(item) for item in fingerprint_sharded(report)
+        ],
+        "failed": sorted(
+            [f.qid, f.reason, f.attempts, f.last_device]
+            for f in report.failed
+        ),
+        "makespan": report.makespan,
+    }
+
+#: Seed subset of the fleet-pin column — every 5th pinned seed; the
+#: full sweep belongs to ``tests/serve/test_fleet_pin.py``.
+FLEET_PIN_REGRESSION_SEEDS = tuple(range(0, 50, 5))
+
+
+def run_fleet_pin_regression(
+    seeds: tuple[int, ...] = FLEET_PIN_REGRESSION_SEEDS,
+) -> list[str]:
+    """Assert ``QueryScheduler.run`` reproduces the recorded fleet pin
+    on every setup; returns report lines.  Any divergence raises
+    :class:`~repro.errors.SchedulingError`."""
+    from repro.errors import SchedulingError
+
+    pin = json.loads(FLEET_PIN_PATH.read_text(encoding="utf-8"))["fleet"]
+    failed = 0
+    for setup in FLEET_PIN_SETUPS:
+        for seed in seeds:
+            entry = fleet_pin_entry(fleet_pin_report(setup, seed))
+            if entry != pin[setup][str(seed)]:
+                raise SchedulingError(
+                    f"fleet pin {setup} diverged from the recorded batch "
+                    f"outcomes at seed {seed}"
+                )
+            failed += len(entry["failed"])
+    return [
+        f"fleet pin[{len(FLEET_PIN_SETUPS)} setups x {len(seeds)} seeds]: "
+        f"run reproduces the recorded batch outcomes ({failed} failed "
+        "queries included)  ok"
+    ]
 
 
 #: Stream length of the compaction-equivalence regression — mid-size on
@@ -291,15 +404,15 @@ STREAM_REGRESSION_ARRIVALS = 400
 def run_stream_regression(
     arrivals: int = STREAM_REGRESSION_ARRIVALS,
 ) -> list[str]:
-    """Assert compacted streaming == uncompacted == online; returns
+    """Assert compacted streaming == uncompacted == batch; returns
     report lines.
 
     For a mid-size open-arrival stream on one device and on a
     :data:`SERVE_REGRESSION_DEVICES`-device fleet, runs
     :meth:`~repro.serve.scheduler.QueryScheduler.run_stream` twice —
     aggressive compaction versus compaction disabled — and
-    :meth:`~repro.serve.scheduler.QueryScheduler.run_online` once on
-    the same requests.  All three must produce **identical** per-query
+    :meth:`~repro.serve.scheduler.QueryScheduler.run` once on the same
+    requests.  All three must produce **identical** per-query
     admissions, placements, reservations and finish times, and the
     same makespan: compaction must be pure bookkeeping, invisible in
     every outcome.  Any divergence raises
@@ -327,7 +440,7 @@ def run_stream_regression(
         uncompacted = QueryScheduler(devices=devices).run_stream(
             iter(requests), compact_every=None
         )
-        online = QueryScheduler(devices=devices).run_online(requests)
+        batch = QueryScheduler(devices=devices).run(requests)
         if compacted.shed or uncompacted.shed:
             raise SchedulingError(
                 "stream regression must not shed (no queue cap, no SLO)"
@@ -340,19 +453,19 @@ def run_stream_regression(
                 f"{arrivals} arrivals on {devices} device(s)"
             )
         if outcome_fingerprint(compacted.outcomes) != outcome_fingerprint(
-            online.outcomes
+            batch.outcomes
         ):
             raise SchedulingError(
-                f"streaming admission diverged from run_online at "
+                f"streaming admission diverged from run at "
                 f"{arrivals} arrivals on {devices} device(s)"
             )
         if not (
-            compacted.makespan == uncompacted.makespan == online.makespan
+            compacted.makespan == uncompacted.makespan == batch.makespan
         ):
             raise SchedulingError(
                 f"stream makespans diverged on {devices} device(s): "
                 f"compacted {compacted.makespan!r}, uncompacted "
-                f"{uncompacted.makespan!r}, online {online.makespan!r}"
+                f"{uncompacted.makespan!r}, batch {batch.makespan!r}"
             )
         if compacted.retired_tasks == 0:
             raise SchedulingError(
@@ -366,7 +479,7 @@ def run_stream_regression(
             f"{uncompacted.peak_retained_tasks} tasks uncompacted "
             f"({compacted.retired_tasks} retired in "
             f"{compacted.compactions} sweeps), compacted == uncompacted "
-            "== online  ok"
+            "== batch  ok"
         )
     return lines
 
@@ -399,42 +512,27 @@ def run_golden_regression(
     re-checked too.  Any divergence raises
     :class:`~repro.errors.SchedulingError`.
     """
-    import json
-    from pathlib import Path
-
-    from repro.bench.serve_bench import fingerprint, fingerprint_sharded
+    from repro.bench.serve_bench import fingerprint_sharded
     from repro.errors import SchedulingError
     from repro.serve.scheduler import QueryScheduler
     from repro.serve.workload import mixed_workload, random_workload
 
-    golden_path = (
-        Path(__file__).resolve().parents[3]
-        / "tests" / "serve" / "golden_single_device.json"
-    )
-    golden = json.loads(golden_path.read_text(encoding="utf-8"))
+    golden = _golden()
     checked = 0
     for seed in seeds:
-        entry = golden["seeds"][str(seed)]
-        report = QueryScheduler(devices=1).run_online(random_workload(seed))
-        if (
-            [list(item) for item in fingerprint(report)]
-            != entry["fingerprint"]
-            or report.makespan != entry["makespan"]
-            or report.peak_reserved_bytes != entry["peak_reserved_bytes"]
-        ):
+        report = QueryScheduler(devices=1).run(random_workload(seed))
+        if not _matches_golden(report, golden["seeds"][str(seed)]):
             raise SchedulingError(
                 f"homogeneous devices=1 diverged from the recorded golden "
                 f"schedule at seed {seed}"
             )
         capacity = report.capacity_bytes
-        default_two = QueryScheduler(devices=2).run_online(
-            random_workload(seed)
-        )
+        default_two = QueryScheduler(devices=2).run(random_workload(seed))
         explicit_two = QueryScheduler(
             devices=2,
             device_capacities=[capacity, capacity],
             device_calibrations=[None, None],
-        ).run_online(random_workload(seed))
+        ).run(random_workload(seed))
         if (
             fingerprint_sharded(explicit_two)
             != fingerprint_sharded(default_two)
@@ -447,14 +545,10 @@ def run_golden_regression(
         checked += 1
     for name in sorted(golden["canonical"]):
         clients, spacing = name.split("x")
-        report = QueryScheduler(devices=1).run_online(
+        report = QueryScheduler(devices=1).run(
             mixed_workload(int(clients), spacing_seconds=float(spacing))
         )
-        if (
-            [list(item) for item in fingerprint(report)]
-            != golden["canonical"][name]["fingerprint"]
-            or report.makespan != golden["canonical"][name]["makespan"]
-        ):
+        if not _matches_golden(report, golden["canonical"][name]):
             raise SchedulingError(
                 f"canonical workload {name} diverged from the recorded "
                 "golden schedule"
@@ -482,38 +576,27 @@ def run_fault_regression(
       means the fault machinery leaked into unfaulted runs);
     * **Recovery** — a crashy seeded plan on a two-device fleet must
       conserve every query (``completed + failed == arrivals``), drain
-      every arena (crash reservations reconciled), keep online == batch
-      under faults, and replay deterministically.
+      every arena (crash reservations reconciled) and replay
+      deterministically; its outcomes are pinned by the ``faults_2``
+      setup of :func:`run_fleet_pin_regression`.
 
     Any violation raises :class:`~repro.errors.SchedulingError` (the
     scheduler's own :func:`~repro.serve.faults.check_fault_invariants`
     audit, a :class:`~repro.errors.FaultInvariantError`, is a subclass).
     """
-    import json
-    from pathlib import Path
-
-    from repro.bench.serve_bench import fingerprint, fingerprint_sharded
+    from repro.bench.serve_bench import fingerprint_sharded
     from repro.errors import SchedulingError
     from repro.serve.faults import FaultPlan
     from repro.serve.scheduler import QueryScheduler
     from repro.serve.workload import random_workload
 
-    golden_path = (
-        Path(__file__).resolve().parents[3]
-        / "tests" / "serve" / "golden_single_device.json"
-    )
-    golden = json.loads(golden_path.read_text(encoding="utf-8"))
+    golden = _golden()
     for seed in seeds:
-        entry = golden["seeds"][str(seed)]
-        report = QueryScheduler(devices=1).run_online(
+        report = QueryScheduler(devices=1).run(
             random_workload(seed), faults=FaultPlan()
         )
-        if (
-            [list(item) for item in fingerprint(report)]
-            != entry["fingerprint"]
-            or report.makespan != entry["makespan"]
-            or report.peak_reserved_bytes != entry["peak_reserved_bytes"]
-            or report.failed
+        if report.failed or not _matches_golden(
+            report, golden["seeds"][str(seed)]
         ):
             raise SchedulingError(
                 f"empty FaultPlan diverged from the recorded golden "
@@ -526,9 +609,7 @@ def run_fault_regression(
     retries = 0
     for seed in seeds:
         requests = random_workload(seed)
-        base = QueryScheduler(devices=devices).run_online(
-            random_workload(seed)
-        )
+        base = QueryScheduler(devices=devices).run(requests)
         plan = FaultPlan.random(
             seed,
             devices=devices,
@@ -536,50 +617,36 @@ def run_fault_regression(
             qids=[request.qid for request in requests],
             admission_fault_rate=0.25,
         )
-        online = QueryScheduler(devices=devices).run_online(
-            random_workload(seed), faults=plan
-        )
-        batch = QueryScheduler(devices=devices).run(
-            random_workload(seed), faults=plan
-        )
-        replay = QueryScheduler(devices=devices).run_online(
-            random_workload(seed), faults=plan
-        )
+        report = QueryScheduler(devices=devices).run(requests, faults=plan)
+        replay = QueryScheduler(devices=devices).run(requests, faults=plan)
         if (
-            fingerprint_sharded(online) != fingerprint_sharded(batch)
-            or online.failed != batch.failed
-        ):
-            raise SchedulingError(
-                f"online diverged from batch under fault plan seed {seed}"
-            )
-        if (
-            fingerprint_sharded(replay) != fingerprint_sharded(online)
-            or replay.failed != online.failed
+            fingerprint_sharded(replay) != fingerprint_sharded(report)
+            or replay.failed != report.failed
         ):
             raise SchedulingError(
                 f"faulted run did not replay deterministically at seed "
                 f"{seed}"
             )
-        if len(online.outcomes) + len(online.failed) != len(requests):
+        if len(report.outcomes) + len(report.failed) != len(requests):
             raise SchedulingError(
                 f"fault plan seed {seed} lost queries: "
-                f"{len(online.outcomes)} completed + "
-                f"{len(online.failed)} failed != {len(requests)}"
+                f"{len(report.outcomes)} completed + "
+                f"{len(report.failed)} failed != {len(requests)}"
             )
-        for arena in online.arenas or ():
+        for arena in report.arenas or ():
             arena.check_invariants()
             if not arena.drained:
                 raise SchedulingError(
                     f"device {arena.device} arena did not drain under "
                     f"fault plan seed {seed}"
                 )
-        failures += len(online.failed)
-        retries += sum(o.retries for o in online.outcomes)
+        failures += len(report.failed)
+        retries += sum(o.retries for o in report.outcomes)
     return [
         f"faults[{len(seeds)} seeds]: empty plan bit-identical to golden "
         f"schedules; crashy plans on {devices} devices conserved every "
         f"query ({failures} failed, {retries} retries), arenas "
-        "reconciled, online == batch, replay identical  ok"
+        "reconciled, replay identical  ok"
     ]
 
 
@@ -596,10 +663,8 @@ def run_admission_regression(
     * **Inertness** — ``admission="fifo"`` (the default, spelled
       explicitly) must stay bit-identical to the recorded pre-registry
       golden schedules on ``devices=1``: the policy hook may not
-      perturb the default path;
-    * **Equivalence** — every registered policy must keep
-      online == batch (device assignments included) on the
-      deadline-classed canonical workload across a two-device fleet;
+      perturb the default path (reordering policies are pinned by the
+      ``sjf_2``/``edf_2`` setups of :func:`run_fleet_pin_regression`);
     * **Wins** — on :func:`~repro.serve.workload.classed_workload`
       (64 clients, one device) ``edf`` must *strictly* reduce the
       deadline-miss rate against ``fifo``, and ``sjf`` must never
@@ -607,12 +672,7 @@ def run_admission_regression(
 
     Any violation raises :class:`~repro.errors.SchedulingError`.
     """
-    import json
-    from pathlib import Path
-
-    from repro.bench.serve_bench import fingerprint, fingerprint_sharded
     from repro.errors import SchedulingError
-    from repro.serve.admission import registered_admission_policies
     from repro.serve.scheduler import QueryScheduler
     from repro.serve.workload import (
         classed_workload,
@@ -620,44 +680,16 @@ def run_admission_regression(
         random_workload,
     )
 
-    golden_path = (
-        Path(__file__).resolve().parents[3]
-        / "tests" / "serve" / "golden_single_device.json"
-    )
-    golden = json.loads(golden_path.read_text(encoding="utf-8"))
+    golden = _golden()
     for seed in seeds:
-        entry = golden["seeds"][str(seed)]
-        report = QueryScheduler(devices=1, admission="fifo").run_online(
+        report = QueryScheduler(devices=1, admission="fifo").run(
             random_workload(seed)
         )
-        if (
-            [list(item) for item in fingerprint(report)]
-            != entry["fingerprint"]
-            or report.makespan != entry["makespan"]
-            or report.peak_reserved_bytes != entry["peak_reserved_bytes"]
-        ):
+        if not _matches_golden(report, golden["seeds"][str(seed)]):
             raise SchedulingError(
                 f"fifo admission diverged from the recorded golden "
                 f"schedule at seed {seed} — the policy hook perturbed "
                 "the default path"
-            )
-
-    devices = SERVE_REGRESSION_DEVICES
-    requests = classed_workload(16)
-    for policy in registered_admission_policies():
-        batch = QueryScheduler(devices=devices, admission=policy).run(
-            requests
-        )
-        online = QueryScheduler(
-            devices=devices, admission=policy
-        ).run_online(requests)
-        if (
-            fingerprint_sharded(online) != fingerprint_sharded(batch)
-            or online.makespan != batch.makespan
-        ):
-            raise SchedulingError(
-                f"online diverged from batch under {policy!r} admission "
-                "on the classed workload"
             )
 
     fifo_classed = QueryScheduler(admission="fifo").run(classed_workload(64))
@@ -682,9 +714,8 @@ def run_admission_regression(
             f"{fifo_mixed.mean_latency:.6f} s"
         )
     return [
-        f"admission[{len(seeds)} seeds + {len(registered_admission_policies())} "
-        f"policies]: fifo bit-identical to golden schedules; online == "
-        f"batch under every policy on classed workloads; edf miss rate "
+        f"admission[{len(seeds)} seeds]: fifo bit-identical to golden "
+        f"schedules; edf miss rate "
         f"{edf_classed.deadline_miss_rate:.3f} < fifo "
         f"{fifo_classed.deadline_miss_rate:.3f}; sjf mean latency "
         f"{sjf_mixed.mean_latency:.3f} s <= fifo "
@@ -729,10 +760,7 @@ def run_learned_regression(
 
     Any violation raises :class:`~repro.errors.SchedulingError`.
     """
-    import json
-    from pathlib import Path
-
-    from repro.bench.serve_bench import fingerprint, fingerprint_sharded
+    from repro.bench.serve_bench import fingerprint_sharded
     from repro.core import learned_cost, sample_store
     from repro.core.learned_cost import LearnedCostModel
     from repro.core.sample_store import SampleStore
@@ -741,11 +769,7 @@ def run_learned_regression(
     from repro.serve.scheduler import QueryScheduler
     from repro.serve.workload import random_workload
 
-    golden_path = (
-        Path(__file__).resolve().parents[3]
-        / "tests" / "serve" / "golden_single_device.json"
-    )
-    golden = json.loads(golden_path.read_text(encoding="utf-8"))
+    golden = _golden()
 
     # Record: serve the seed workloads with an in-memory store attached
     # so every estimate contributes a (fingerprint, features, seconds)
@@ -756,7 +780,7 @@ def run_learned_regression(
     sample_store.attach(store)
     try:
         for seed in seeds:
-            QueryScheduler(devices=1).run_online(random_workload(seed))
+            QueryScheduler(devices=1).run(random_workload(seed))
     finally:
         sample_store.detach()
     model = LearnedCostModel.fit(store)
@@ -772,16 +796,10 @@ def run_learned_regression(
         # Column 1: installed-but-inactive must stay bit-identical to
         # the recorded golden schedules.
         for seed in seeds:
-            entry = golden["seeds"][str(seed)]
-            report = QueryScheduler(devices=1, learned=False).run_online(
+            report = QueryScheduler(devices=1, learned=False).run(
                 random_workload(seed)
             )
-            if (
-                [list(item) for item in fingerprint(report)]
-                != entry["fingerprint"]
-                or report.makespan != entry["makespan"]
-                or report.peak_reserved_bytes != entry["peak_reserved_bytes"]
-            ):
+            if not _matches_golden(report, golden["seeds"][str(seed)]):
                 raise SchedulingError(
                     f"learned=False diverged from the recorded golden "
                     f"schedule at seed {seed} with a model installed — "
@@ -794,15 +812,13 @@ def run_learned_regression(
         total = 0
         for seed in seeds:
             requests = random_workload(seed)
-            analytic = QueryScheduler(devices=devices).run_online(
-                random_workload(seed)
+            analytic = QueryScheduler(devices=devices).run(requests)
+            learned = QueryScheduler(devices=devices, learned=True).run(
+                requests
             )
-            learned = QueryScheduler(
-                devices=devices, learned=True
-            ).run_online(random_workload(seed))
-            replay = QueryScheduler(
-                devices=devices, learned=True
-            ).run_online(random_workload(seed))
+            replay = QueryScheduler(devices=devices, learned=True).run(
+                requests
+            )
             if fingerprint_sharded(replay) != fingerprint_sharded(learned):
                 raise SchedulingError(
                     f"learned=True did not replay deterministically at "
@@ -844,6 +860,7 @@ def run_learned_regression(
     ]
 
 
+
 def main() -> int:
     rows = run_regression()
     print(render(rows))
@@ -854,12 +871,18 @@ def main() -> int:
         print(line)
     print(
         "serving scheduler deterministic, every arena within capacity and "
-        "drained, online == batch, sharding never regresses the makespan"
+        "drained, sharding never regresses the makespan"
+    )
+    for line in run_fleet_pin_regression():
+        print(line)
+    print(
+        "fleet pin: the one serving loop reproduces the retired batch "
+        "re-simulation's outcomes"
     )
     for line in run_stream_regression():
         print(line)
     print(
-        "streaming admission: compacted == uncompacted == online on every "
+        "streaming admission: compacted == uncompacted == batch on every "
         "outcome; compaction is pure bookkeeping"
     )
     for line in run_golden_regression():
@@ -878,7 +901,7 @@ def main() -> int:
         print(line)
     print(
         "admission policies: fifo inert against the golden schedules, "
-        "reordering policies keep online == batch and win their metrics"
+        "reordering policies win their metrics"
     )
     for line in run_learned_regression():
         print(line)

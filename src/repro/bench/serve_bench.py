@@ -14,10 +14,6 @@ speedup: greedy FIFO interleaving is subject to Graham scheduling
 anomalies, so tiny workloads can lose a few percent to serial execution
 and that is a measurement, not a bug.
 
-``--online`` switches the scheduler to incremental schedule extension
-(:meth:`~repro.serve.scheduler.QueryScheduler.run_online`): outcomes are
-bit-identical to batch mode (asserted by ``bench/regress.py`` and
-``tests/serve/test_online.py``), only the wall clock changes.
 ``--arrival-rate R`` spaces submissions ``1/R`` simulated seconds apart
 to model an open arrival process.  ``--devices K`` shards the fleet —
 per-device arenas and engines with a placement policy
@@ -73,7 +69,7 @@ mean recovery latency) into ``BENCH_perf.json``, and fail the process
 when ``--max-failed-rate`` is exceeded — the CI chaos smoke bound.
 
 Run via the CLI (``python -m repro.bench serve --clients 16``,
-``... serve --clients 16 --devices 2 --online``,
+``... serve --clients 16 --devices 2``,
 ``... serve --clients 64 --devices 2 --device-calib fast,slow``,
 ``... serve --stream --arrivals 100000 --devices 2``, or
 ``... serve --stream --arrivals 20000 --devices 2 --faults``) or call
@@ -99,6 +95,7 @@ from repro.gpusim.calibration import (
     Calibration,
     calibration_preset,
 )
+from repro.gpusim.spec import SystemSpec
 from repro.serve.admission import FIFO, registered_admission_policies
 from repro.serve.faults import FaultPlan
 from repro.serve.placement import LEAST_LOADED, registered_placement_policies
@@ -167,6 +164,30 @@ def _has_cross_query_overlap(report: ServeReport) -> bool:
     return False
 
 
+def _check_arenas(report: StreamReport) -> None:
+    """Every device's peak within its capacity, every arena's ledger
+    consistent and drained — the guarantee both report verifiers
+    share."""
+    capacities = report.device_capacity_bytes or tuple(
+        [report.capacity_bytes] * len(report.device_peak_bytes)
+    )
+    for device, (peak, cap) in enumerate(
+        zip(report.device_peak_bytes, capacities)
+    ):
+        if peak > cap:
+            raise SchedulingError(
+                f"arena over-reserved on device {device}: peak {peak} > "
+                f"capacity {cap}"
+            )
+    for arena in report.arenas or ():
+        arena.check_invariants()
+        if not arena.drained:
+            raise SchedulingError(
+                f"device {arena.device} arena did not drain: "
+                f"{sorted(arena.reservations)} still reserved"
+            )
+
+
 def verify_report(
     report: ServeReport, *, clients: int, check_serial: bool = True
 ) -> None:
@@ -180,23 +201,7 @@ def verify_report(
     percent to Graham scheduling anomalies of the greedy FIFO
     interleaving — reported as a sub-1.0x speedup rather than raised.
     """
-    peaks = report.device_peak_bytes or (report.peak_reserved_bytes,)
-    capacities = report.device_capacity_bytes or tuple(
-        [report.capacity_bytes] * len(peaks)
-    )
-    for device, (peak, cap) in enumerate(zip(peaks, capacities)):
-        if peak > cap:
-            raise SchedulingError(
-                f"arena over-reserved on device {device}: peak {peak} > "
-                f"capacity {cap}"
-            )
-    for arena in report.arenas or ():
-        arena.check_invariants()
-        if not arena.drained:
-            raise SchedulingError(
-                f"device {arena.device} arena did not drain: "
-                f"{sorted(arena.reservations)} still reserved"
-            )
+    _check_arenas(report)
     if clients <= 1 or not check_serial:
         return
     # Concurrency may never lose to serial back-to-back execution
@@ -217,7 +222,7 @@ def verify_report(
 
 def fingerprint(report: ServeReport) -> list[tuple]:
     """Canonical per-query outcome fingerprint, used by every
-    determinism and online-vs-batch equivalence check (here, in
+    determinism and golden-schedule check (here, in
     ``bench/regress.py`` and in ``tests/serve``).  Deliberately
     device-blind so recorded single-device golden schedules stay
     comparable; sharded checks add :func:`fingerprint_sharded`."""
@@ -229,7 +234,7 @@ def fingerprint(report: ServeReport) -> list[tuple]:
 
 def fingerprint_sharded(report: ServeReport) -> list[tuple]:
     """:func:`fingerprint` plus the placement device per query — the
-    fingerprint sharded determinism and online==batch checks compare."""
+    fingerprint sharded determinism checks and the fleet pin compare."""
     return [
         (o.qid, o.device, o.strategy, o.reserved_bytes, o.admit_at, o.finish_at)
         for o in report.outcomes
@@ -241,7 +246,6 @@ def run_serve(
     *,
     scale: float = 1.0,
     spacing_seconds: float = 0.0,
-    online: bool = False,
     devices: int = 1,
     placement: str = LEAST_LOADED,
     device_capacities: list[int] | None = None,
@@ -258,13 +262,10 @@ def run_serve(
 ) -> ServeReport:
     """Schedule ``clients`` mixed queries and verify the guarantees.
 
-    ``online=True`` runs the arrival-driven incremental-extension mode
-    (:meth:`~repro.serve.scheduler.QueryScheduler.run_online`); the
-    determinism re-run then also uses online mode, so the check guards
-    the incremental path itself.  ``devices``/``placement`` and the
-    heterogeneity knobs (``device_capacities`` / ``device_calibrations``
-    / ``steal``) shard and diversify the fleet (ignored when an
-    explicit ``scheduler`` is passed).  Heterogeneous and stealing runs
+    ``devices``/``placement`` and the heterogeneity knobs
+    (``device_capacities`` / ``device_calibrations`` / ``steal``) shard
+    and diversify the fleet (ignored when an explicit ``scheduler`` is
+    passed).  Heterogeneous and stealing runs
     skip the serial-baseline assertion: the serial baseline assumes
     solo runs on a default-calibration device, which a slower fleet is
     allowed to lose to.  ``faults`` replays the run through the
@@ -308,8 +309,7 @@ def run_serve(
         learned=learned,
     )
     faulted = faults is not None and not faults.is_empty
-    run = scheduler.run_online if online else scheduler.run
-    report = run(requests, faults=faults)
+    report = scheduler.run(requests, faults=faults)
     canonical = (
         scale == 1.0
         and spacing_seconds == 0.0
@@ -334,8 +334,7 @@ def run_serve(
             admission=scheduler.admission,
             learned=scheduler.learned,
         )
-        rerun_fn = fresh.run_online if online else fresh.run
-        rerun = rerun_fn(workload(), faults=faults)
+        rerun = fresh.run(workload(), faults=faults)
         if fingerprint_sharded(rerun) != fingerprint_sharded(report):
             raise SchedulingError(
                 f"serve schedule is non-deterministic at {clients} clients "
@@ -354,7 +353,6 @@ def sweep(
     *,
     scale: float = 1.0,
     spacing_seconds: float = 0.0,
-    online: bool = False,
     devices: int = 1,
     placement: str = LEAST_LOADED,
     device_capacities: list[int] | None = None,
@@ -373,7 +371,6 @@ def sweep(
             clients,
             scale=scale,
             spacing_seconds=spacing_seconds,
-            online=online,
             devices=devices,
             placement=placement,
             device_capacities=device_capacities,
@@ -390,7 +387,7 @@ def sweep(
                 clients=clients,
                 makespan=report.makespan,
                 serial_makespan=report.serial_makespan,
-                queries_per_second=report.queries_per_second,
+                queries_per_second=report.sustained_qps,
                 mean_latency=report.mean_latency,
                 p95_latency=report.p95_latency,
                 degraded=report.degraded_count,
@@ -436,7 +433,7 @@ def verify_stream_report(
 ) -> None:
     """The streaming run's hard guarantees; raises on violation.
 
-    Arena invariants match :func:`verify_report`; on top of those,
+    Arena checks are shared with :func:`verify_report`; on top of those,
     every arrival must be accounted for (completed + shed == arrivals,
     shedding is never silent) and, when compaction ran, the peak
     retained schedule must stay within ``peak_inflight_tasks +
@@ -445,24 +442,7 @@ def verify_stream_report(
     tasks each can sit between sweeps, so a violation means compaction
     stopped bounding memory.
     """
-    stream_caps = report.device_capacity_bytes or tuple(
-        [report.capacity_bytes] * len(report.device_peak_bytes)
-    )
-    for device, (peak, cap) in enumerate(
-        zip(report.device_peak_bytes, stream_caps)
-    ):
-        if peak > cap:
-            raise SchedulingError(
-                f"arena over-reserved on device {device}: peak {peak} > "
-                f"capacity {cap}"
-            )
-    for arena in report.arenas or ():
-        arena.check_invariants()
-        if not arena.drained:
-            raise SchedulingError(
-                f"device {arena.device} arena did not drain: "
-                f"{sorted(arena.reservations)} still reserved"
-            )
+    _check_arenas(report)
     if (
         report.completed + report.shed_count + report.failed_count
         != report.arrivals
@@ -665,7 +645,7 @@ def hetero_perf_entries(
         ),
         f"{prefix}_makespan{tag}": PerfEntry(
             wall_seconds=report.makespan / n,
-            ops_per_sec=report.queries_per_second,
+            ops_per_sec=report.sustained_qps,
             n=n,
         ),
     }
@@ -744,8 +724,8 @@ def parse_device_caps(text: str | None, devices: int) -> list[int] | None:
     """Parse ``--device-caps`` (comma-separated GB) into bytes.
 
     Raises :class:`ValueError` naming the flag on malformed numbers,
-    non-positive entries, or an entry count that does not match
-    ``--devices``.
+    non-positive entries, entries above the modelled GPU's device
+    memory, or an entry count that does not match ``--devices``.
     """
     if text is None:
         return None
@@ -766,7 +746,16 @@ def parse_device_caps(text: str | None, devices: int) -> list[int] | None:
         raise ValueError(
             f"--device-caps entries must be positive GB, got {text!r}"
         )
-    return [int(cap * 1e9) for cap in caps_gb]
+    limit = SystemSpec().gpu.device_memory
+    caps = [int(cap * 1e9) for cap in caps_gb]
+    for index, cap in enumerate(caps):
+        if cap > limit:
+            raise ValueError(
+                f"--device-caps entry {index} ({caps_gb[index]:g} GB) is "
+                f"above the modelled GPU's device memory "
+                f"({limit / 1e9:g} GB)"
+            )
+    return caps
 
 
 def parse_device_calib(
@@ -818,12 +807,6 @@ def serve_main(argv: list[str] | None = None) -> int:
         type=float,
         default=0.0,
         help="seconds between query submissions (default 0: one batch)",
-    )
-    parser.add_argument(
-        "--online",
-        action="store_true",
-        help="arrival-driven admission with incremental schedule "
-        "extension (same outcomes as batch mode, lower wall clock)",
     )
     parser.add_argument(
         "--arrival-rate",
@@ -1227,7 +1210,7 @@ def _serve_dispatch(
         and not args.classes
         and not args.learned
     )
-    mode = "online (incremental extension)" if args.online else "batch"
+    mode = "batch"
     if args.devices > 1:
         mode += f", {args.devices} devices ({args.placement} placement)"
     if args.admission != FIFO:
@@ -1256,7 +1239,6 @@ def _serve_dispatch(
                 args.clients,
                 scale=args.scale,
                 spacing_seconds=spacing,
-                online=args.online,
                 devices=args.devices,
                 placement=args.placement,
                 device_capacities=device_capacities,
@@ -1281,7 +1263,6 @@ def _serve_dispatch(
             args.clients,
             scale=args.scale,
             spacing_seconds=spacing,
-            online=args.online,
             devices=args.devices,
             placement=args.placement,
             device_capacities=device_capacities,
@@ -1370,7 +1351,6 @@ def _serve_dispatch(
         levels,
         scale=args.scale,
         spacing_seconds=spacing,
-        online=args.online,
         devices=args.devices,
         placement=args.placement,
         device_capacities=device_capacities,

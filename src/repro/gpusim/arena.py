@@ -48,10 +48,6 @@ class DeviceMemoryArena:
     reservations and the :attr:`timeline` are **simulated seconds**
     supplied by the scheduler's clock — the arena never reads a wall
     clock, so a request sequence replays to an identical ledger.
-    Tasks placed incrementally by the online admission mode release
-    their reservations at the same simulated finish times as under
-    batch re-simulation, so both modes produce the same timeline and
-    the same exact high-water mark.
 
     ``device`` names which GPU of a sharded fleet this arena accounts
     for (0 for the single-device scheduler); it appears in every

@@ -36,9 +36,9 @@ class PipelineEngine:
     Simulation is deterministic: the same submission order, durations,
     dependencies and lane counts always yield the same schedule —
     ties are broken by submission order and lowest lane index, and no
-    unordered-container iteration or randomness is involved.  The three
-    entry points (:meth:`run`, :meth:`run_reference`, :meth:`extend`)
-    are pinned to identical schedules by the pipeline test suite.
+    unordered-container iteration or randomness is involved.  :meth:`run`
+    and :meth:`extend` share one simulator, pinned to the
+    :meth:`run_reference` oracle by the pipeline test suite.
     """
 
     def __init__(
@@ -93,13 +93,7 @@ class PipelineEngine:
         return self._lanes.get(resource, 1)
 
     # ------------------------------------------------------------------
-    def add(self, task: Task) -> Task:
-        """Append a task to its resource's queue."""
-        if self._device_retired:
-            raise SchedulingError(
-                f"device {self.device} is retired: task {task.name!r} "
-                "cannot be placed on an engine that left the fleet"
-            )
+    def _check_task(self, task: Task) -> None:
         if task.name in self._by_name:
             raise SchedulingError(f"duplicate task name: {task.name!r}")
         if task.duration < 0:
@@ -111,6 +105,27 @@ class PipelineEngine:
                 f"task {task.name!r} is placed on device {task.device} but "
                 f"this engine simulates device {self.device}"
             )
+
+    def _check_deps(
+        self, tasks: list[Task], pending: "set[str] | frozenset[str]" = frozenset()
+    ) -> None:
+        """Every dependency names a submitted task (or one of ``pending``)."""
+        for task in tasks:
+            for dep in task.deps:
+                if dep not in self._by_name and dep not in pending:
+                    hint = " (or one retired by compact()?)" if self._retired else ""
+                    raise SchedulingError(
+                        f"task {task.name!r} depends on unknown task {dep!r}{hint}"
+                    )
+
+    def add(self, task: Task) -> Task:
+        """Append a task to its resource's queue."""
+        if self._device_retired:
+            raise SchedulingError(
+                f"device {self.device} is retired: task {task.name!r} "
+                "cannot be placed on an engine that left the fleet"
+            )
+        self._check_task(task)
         self._tasks.append(task)
         self._by_name[task.name] = task
         return task
@@ -140,7 +155,9 @@ class PipelineEngine:
 
     # ------------------------------------------------------------------
     def run(self) -> Schedule:
-        """Simulate the graph and return the schedule (event-driven).
+        """Simulate the whole graph from idle lanes and return the
+        schedule: exactly :meth:`extend` of an empty schedule by every
+        submitted task, through the same event-driven core.
 
         A task is *dispatchable* once it reaches the head of its
         resource's FIFO queue and all its dependencies have finished —
@@ -152,7 +169,7 @@ class PipelineEngine:
         calendar of dispatchable tasks ordered by start time — placing
         each task exactly once, O((T + E) log T) overall, instead of
         rescanning every queue head per decision as the original
-        scanner (retained as :meth:`run_reference`) did.
+        scanner (retained as :meth:`run_reference`, the oracle) did.
 
         The schedule is identical to :meth:`run_reference`'s, including
         lane assignment (ties go to the lowest lane index) and deadlock
@@ -162,102 +179,9 @@ class PipelineEngine:
         raised.
         """
         self._check_not_compacted("run()")
-        for task in self._tasks:
-            for dep in task.deps:
-                if dep not in self._by_name:
-                    raise SchedulingError(
-                        f"task {task.name!r} depends on unknown task {dep!r}"
-                    )
+        self._check_deps(self._tasks)
+        return self._simulate(Schedule(), self._tasks)
 
-        queues: dict[str, list[Task]] = defaultdict(list)
-        position: dict[str, int] = {}
-        for task in self._tasks:
-            position[task.name] = len(queues[task.resource])
-            queues[task.resource].append(task)
-        cursor = {resource: 0 for resource in queues}
-        # One free-time per lane, as a heap of (free_at, lane_index): a
-        # pool's next task is dispatched onto whichever lane frees first
-        # (round-robin copy engines/streams), lowest index on ties.
-        lane_free = {
-            resource: [(0.0, lane) for lane in range(self.lanes_of(resource))]
-            for resource in queues
-        }
-        finish_at: dict[str, float] = {}
-        indegree: dict[str, int] = {}
-        dependents: dict[str, list[str]] = defaultdict(list)
-        for task in self._tasks:
-            unique_deps = set(task.deps)
-            indegree[task.name] = len(unique_deps)
-            for dep in unique_deps:
-                dependents[dep].append(task.name)
-
-        schedule = Schedule(
-            lanes={resource: self.lanes_of(resource) for resource in queues}
-        )
-
-        # Event calendar: dispatchable tasks keyed by their (final)
-        # start time; the sequence number makes heap entries total-ordered
-        # and preserves submission order among equal start times.
-        calendar: list[tuple[float, int, str]] = []
-        queued: set[str] = set()
-        sequence = 0
-
-        def maybe_push(task: Task) -> None:
-            nonlocal sequence
-            if (
-                task.name in queued
-                or indegree[task.name] > 0
-                or cursor[task.resource] != position[task.name]
-            ):
-                return
-            dep_ready = max(
-                (finish_at[dep] for dep in task.deps), default=0.0
-            )
-            start = max(lane_free[task.resource][0][0], dep_ready, task.available_at)
-            heapq.heappush(calendar, (start, sequence, task.name))
-            queued.add(task.name)
-            sequence += 1
-
-        for queue in queues.values():
-            maybe_push(queue[0])
-
-        remaining = len(self._tasks)
-        while remaining:
-            if not calendar:
-                pending = [
-                    queue[cursor[resource]].name
-                    for resource, queue in queues.items()
-                    if cursor[resource] < len(queue)
-                ]
-                raise SchedulingError(
-                    f"pipeline deadlock: queue heads {pending} all blocked "
-                    "(cyclic dependencies across FIFO queues?)"
-                )
-            start, _, name = heapq.heappop(calendar)
-            task = self._by_name[name]
-            _, lane = heapq.heappop(lane_free[task.resource])
-            finish = start + task.duration
-            schedule.tasks[name] = ScheduledTask(task, start, finish, lane=lane)
-            finish_at[name] = finish
-            heapq.heappush(lane_free[task.resource], (finish, lane))
-            cursor[task.resource] += 1
-            remaining -= 1
-            # Two kinds of tasks may have become dispatchable: the next
-            # task of this queue, and dependents that were only waiting
-            # on this finish.  (A dependent still behind its queue head
-            # is woken later, by its own queue's cursor reaching it.)
-            queue = queues[task.resource]
-            if cursor[task.resource] < len(queue):
-                maybe_push(queue[cursor[task.resource]])
-            for child in dependents[name]:
-                indegree[child] -= 1
-                maybe_push(self._by_name[child])
-        schedule.lane_state = {
-            resource: sorted(heap) for resource, heap in lane_free.items()
-        }
-        return schedule
-
-    # ------------------------------------------------------------------
     def extend(
         self,
         schedule: Schedule,
@@ -276,11 +200,11 @@ class PipelineEngine:
         costs O(new tasks), not O(all tasks admitted so far).
 
         Equivalence (pinned by ``tests/pipeline/test_engine_extend.py``
-        and kept honest by retaining :meth:`run` as the oracle): since
-        tasks already in the engine occupy earlier positions of every
-        FIFO queue and never depend on later submissions, their start
-        times, finishes and lane assignments are unaffected by the new
-        tasks — so carrying over the end-of-run per-pool lane heaps
+        against :meth:`run_reference`): since tasks already in the
+        engine occupy earlier positions of every FIFO queue and never
+        depend on later submissions, their start times, finishes and
+        lane assignments are unaffected by the new tasks — so carrying
+        over the end-of-run per-pool lane heaps
         (:attr:`~repro.pipeline.tasks.Schedule.lane_state`) and the
         recorded finish times reproduces, bit-for-bit, the schedule a
         full :meth:`run` over old + new tasks would compute.
@@ -295,9 +219,9 @@ class PipelineEngine:
         By default the input ``schedule`` is left untouched and a
         combined copy is returned — copying the accumulated task dict
         costs O(all tasks so far) per wave.  Callers that retire the
-        input schedule anyway (the serve scheduler's online mode) pass
-        ``in_place=True`` to mutate and return ``schedule`` itself,
-        making a wave genuinely O(new tasks).
+        input schedule anyway (the serving loop) pass ``in_place=True``
+        to mutate and return ``schedule`` itself, making a wave
+        genuinely O(new tasks).
 
         Raises :class:`SchedulingError` when ``schedule`` is a merged
         multi-device reporting view
@@ -336,32 +260,8 @@ class PipelineEngine:
         # Validate everything up front so a bad batch leaves the engine
         # (and the caller's schedule) untouched.
         for task in new_tasks:
-            if task.name in self._by_name:
-                raise SchedulingError(f"duplicate task name: {task.name!r}")
-            if task.duration < 0:
-                raise SchedulingError(
-                    f"negative duration for task {task.name!r}"
-                )
-            if task.available_at < 0:
-                raise SchedulingError(
-                    f"negative available_at for task {task.name!r}"
-                )
-            if task.device != self.device:
-                raise SchedulingError(
-                    f"task {task.name!r} is placed on device {task.device} "
-                    f"but this engine simulates device {self.device}"
-                )
-            for dep in task.deps:
-                if dep not in self._by_name and dep not in new_names:
-                    hint = (
-                        " (or one retired by compact()?)"
-                        if self._retired
-                        else ""
-                    )
-                    raise SchedulingError(
-                        f"task {task.name!r} depends on unknown task "
-                        f"{dep!r}{hint}"
-                    )
+            self._check_task(task)
+        self._check_deps(new_tasks, new_names)
         for resource, lanes in schedule.lanes.items():
             if lanes != self.lanes_of(resource):
                 raise SchedulingError(
@@ -370,53 +270,70 @@ class PipelineEngine:
                     "was computed; lane counts must be declared up front"
                 )
         for task in new_tasks:
-            self.add(task)  # validates name collisions and durations
+            self.add(task)
+        combined = (
+            schedule
+            if in_place
+            else Schedule(
+                tasks=dict(schedule.tasks),
+                lanes=dict(schedule.lanes),
+                lane_state=dict(schedule.lane_state),
+            )
+        )
+        lanes_before = set(combined.lanes)
+        try:
+            return self._simulate(combined, new_tasks)
+        except SchedulingError:
+            # Roll back: a deadlocked batch must leave the engine (and,
+            # in place, the schedule) extendable, like every other
+            # rejected batch.
+            del self._tasks[len(self._tasks) - len(new_tasks):]
+            for task in new_tasks:
+                del self._by_name[task.name]
+                combined.tasks.pop(task.name, None)
+            for resource in set(combined.lanes) - lanes_before:
+                del combined.lanes[resource]
+            raise
 
+    def _simulate(self, combined: Schedule, new_tasks: list[Task]) -> Schedule:
+        """The event-driven core of :meth:`run` and :meth:`extend`: place
+        ``new_tasks`` (already submitted, in submission order) on top of
+        ``combined`` in place, each pool resuming from the lane heaps
+        the schedule recorded, and return ``combined``."""
         queues: dict[str, list[Task]] = defaultdict(list)
         position: dict[str, int] = {}
         for task in new_tasks:
             position[task.name] = len(queues[task.resource])
             queues[task.resource].append(task)
         cursor = {resource: 0 for resource in queues}
-        # Carried-over lane heaps: each pool resumes from the free
-        # times the previous run left behind (sorted lists are valid
-        # heaps, so pop order matches an uninterrupted simulation).
+        # One free-time per lane, as a heap of (free_at, lane_index): a
+        # pool's next task is dispatched onto whichever lane frees first
+        # (round-robin copy engines/streams), lowest index on ties.
+        # Each pool resumes from the free times the previous placement
+        # left behind (sorted lists are valid heaps, so pop order
+        # matches an uninterrupted simulation); a fresh schedule starts
+        # every lane idle at 0.
         lane_free: dict[str, list[tuple[float, int]]] = {}
         for resource in queues:
-            state = schedule.lane_state.get(resource)
+            state = combined.lane_state.get(resource)
             if state is None:
-                state = self._reconstruct_lane_state(schedule, resource)
+                state = self._reconstruct_lane_state(combined, resource)
             lane_free[resource] = list(state)
+            combined.lanes.setdefault(resource, self.lanes_of(resource))
 
-        old = schedule.tasks
+        old = combined.tasks
         finish_at: dict[str, float] = {}
-
-        def dep_finish(dep: str) -> float:
-            got = finish_at.get(dep)
-            return got if got is not None else old[dep].finish
-
         indegree: dict[str, int] = {}
         dependents: dict[str, list[str]] = defaultdict(list)
         for task in new_tasks:
-            unresolved = {dep for dep in task.deps if dep in new_names}
+            unresolved = {dep for dep in task.deps if dep in position}
             indegree[task.name] = len(unresolved)
             for dep in unresolved:
                 dependents[dep].append(task.name)
 
-        if in_place:
-            combined = schedule
-        else:
-            combined = Schedule(
-                tasks=dict(schedule.tasks),
-                lanes=dict(schedule.lanes),
-                lane_state=dict(schedule.lane_state),
-            )
-        added_lanes: list[str] = []
-        for resource in queues:
-            if resource not in combined.lanes:
-                combined.lanes[resource] = self.lanes_of(resource)
-                added_lanes.append(resource)
-
+        # Event calendar: dispatchable tasks keyed by their (final)
+        # start time; the sequence number makes heap entries total-ordered
+        # and preserves submission order among equal start times.
         calendar: list[tuple[float, int, str]] = []
         queued: set[str] = set()
         sequence = 0
@@ -430,7 +347,11 @@ class PipelineEngine:
             ):
                 return
             dep_ready = max(
-                (dep_finish(dep) for dep in task.deps), default=0.0
+                (
+                    finish_at[dep] if dep in finish_at else old[dep].finish
+                    for dep in task.deps
+                ),
+                default=0.0,
             )
             start = max(lane_free[task.resource][0][0], dep_ready, task.available_at)
             heapq.heappush(calendar, (start, sequence, task.name))
@@ -448,15 +369,6 @@ class PipelineEngine:
                     for resource, queue in queues.items()
                     if cursor[resource] < len(queue)
                 ]
-                # Roll back: a deadlocked batch must leave the engine
-                # (and, in place, the schedule) extendable, like every
-                # other rejected batch.
-                del self._tasks[len(self._tasks) - len(new_tasks):]
-                for task in new_tasks:
-                    del self._by_name[task.name]
-                    combined.tasks.pop(task.name, None)
-                for resource in added_lanes:
-                    del combined.lanes[resource]
                 raise SchedulingError(
                     f"pipeline deadlock: queue heads {pending} all blocked "
                     "(cyclic dependencies across FIFO queues?)"
@@ -470,6 +382,10 @@ class PipelineEngine:
             heapq.heappush(lane_free[task.resource], (finish, lane))
             cursor[task.resource] += 1
             remaining -= 1
+            # Two kinds of tasks may have become dispatchable: the next
+            # task of this queue, and dependents that were only waiting
+            # on this finish.  (A dependent still behind its queue head
+            # is woken later, by its own queue's cursor reaching it.)
             queue = queues[task.resource]
             if cursor[task.resource] < len(queue):
                 maybe_push(queue[cursor[task.resource]])
@@ -642,12 +558,7 @@ class PipelineEngine:
         identical schedules on randomized DAGs.
         """
         self._check_not_compacted("run_reference()")
-        for task in self._tasks:
-            for dep in task.deps:
-                if dep not in self._by_name:
-                    raise SchedulingError(
-                        f"task {task.name!r} depends on unknown task {dep!r}"
-                    )
+        self._check_deps(self._tasks)
 
         queues: dict[str, list[Task]] = defaultdict(list)
         for task in self._tasks:

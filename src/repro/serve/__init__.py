@@ -16,13 +16,12 @@ bit-identical to the historical head-of-line scheduler — ``sjf``,
 :class:`~repro.serve.scheduler.QueryScheduler` admits queries in that
 order,
 re-planning each one against the memory actually free at admission and
-lowering all admitted plans into the placed device's pipeline-engine
-run — per wave in batch mode (``run``), incrementally per arrival
-in online mode (``run_online``, bit-identical outcomes at a fraction
-of the wall clock), or as a bounded-queue steady-state stream
-(``run_stream``: load shedding plus schedule compaction, memory
-O(in-flight) over 10^5+ arrivals).  ``devices=1`` (the default) is the classic
-single-GPU scheduler, bit-identical to the pre-sharding
+extending the placed device's pipeline-engine schedule with each
+admission wave.  One event loop has two entry points: ``run`` serves a
+batch and never sheds, ``run_stream`` serves a bounded-queue
+steady-state stream (load shedding plus schedule compaction, memory
+O(in-flight) over 10^5+ arrivals).  ``devices=1`` (the default) is the
+classic single-GPU scheduler, bit-identical to the pre-sharding
 implementation.
 
 Fleets may be heterogeneous and elastic: per-device capacities and

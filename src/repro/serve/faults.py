@@ -401,8 +401,8 @@ def check_fault_invariants(
 
     Duck-typed over :class:`~repro.serve.scheduler.ServeReport` and
     :class:`~repro.serve.scheduler.StreamReport`: reads ``outcomes``,
-    ``failed``, ``shed`` (absent on batch reports), ``arenas`` and
-    ``schedule`` (absent on stream reports).  Checks:
+    ``failed``, ``shed``, ``arenas`` and ``schedule`` (absent on stream
+    reports).  Checks:
 
     * **conservation** — every arrival is exactly one of completed,
       shed, or failed;

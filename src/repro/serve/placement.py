@@ -7,9 +7,9 @@ one arena and one engine.  Sharded serving adds a third axis — *where*
 * :class:`DeviceState` — one GPU's serving state: its private
   :class:`~repro.gpusim.arena.DeviceMemoryArena`, its own
   :class:`~repro.pipeline.engine.PipelineEngine` (with independent
-  ``lane_state``, so online extension stays per-device), the tasks
-  lowered onto it so far, and the running/predicted-finish books the
-  wait-vs-degrade estimator reads;
+  ``lane_state``, so schedule extension stays per-device), the tasks
+  waiting for its next engine pass, and the running/predicted-finish
+  books the wait-vs-degrade estimator reads;
 * :class:`DeviceFleet` — the ordered collection of K device states plus
   the aggregate views reports need (merged schedule, fleet makespan,
   per-device peaks, drain check);
@@ -52,9 +52,9 @@ class DeviceState:
     """One GPU's serving state inside a scheduler run.
 
     Memory quantities are **bytes**, every time is **simulated
-    seconds**.  The engine is created lazily (online mode) with the lane
-    widths declared up to the first wave; ``schedule`` always covers
-    exactly the tasks lowered onto this device so far.
+    seconds**.  The engine is created lazily, at the device's first
+    engine pass, with the lane widths declared up to then; after each
+    pass ``schedule`` covers exactly the tasks the engine holds.
     """
 
     index: int
@@ -67,14 +67,10 @@ class DeviceState:
     calibration: Calibration | None = None
     #: Lane widths declared for this device's resource pools so far.
     resources: dict[str, int] = field(default_factory=dict)
-    #: Every task lowered onto this device, in admission order.
-    tasks: list[Task] = field(default_factory=list)
-    #: Tasks admitted since the last engine pass (online mode).
+    #: Tasks admitted since the last engine pass.
     wave_tasks: list[Task] = field(default_factory=list)
     engine: PipelineEngine | None = None
     schedule: Schedule = field(default_factory=Schedule)
-    #: Tasks were added since ``schedule`` was computed.
-    dirty: bool = False
     #: Query ids currently holding a reservation on this device.
     running: set[str] = field(default_factory=set)
     #: Expected finish per running query — engine-accurate once the
@@ -117,7 +113,7 @@ class DeviceState:
         """Complete a requested retirement once the device drained.
 
         Returns ``True`` the moment the transition happens: the engine
-        (if one exists — batch mode never instantiates it) is sealed
+        (if one exists — a device that never ran work has none) is sealed
         via :meth:`~repro.pipeline.engine.PipelineEngine.retire`, so a
         later placement bug raises instead of resurrecting the device.
         """
@@ -133,28 +129,19 @@ class DeviceState:
     def crash(self, at: float) -> list[str]:
         """Ungraceful failure at simulated time ``at``: every running
         query is lost and returned (sorted), their unfinished tasks are
-        invalidated from the schedule (and the engine's books, in
+        invalidated from the schedule and the engine's books, in
         lockstep, via :meth:`~repro.pipeline.engine.PipelineEngine.crash`
-        when an engine exists — batch mode prunes the recorded schedule
-        directly), and the device stops accepting forever.  The arena
+        (a device without an engine never ran work, so it has nothing
+        to invalidate), and the device stops accepting forever.  The arena
         is **not** touched here — the scheduler reconciles it with the
         lost-query list so the release bookkeeping stays in one place.
         """
         lost = sorted(self.running)
         if self.engine is not None:
             self.engine.crash(self.schedule, at)
-        else:
-            stale = [
-                name
-                for name, item in self.schedule.tasks.items()
-                if item.finish > at
-            ]
-            for name in stale:
-                del self.schedule.tasks[name]
         self.wave_tasks = []
         self.running.clear()
         self.predicted_finish.clear()
-        self.dirty = False
         self.crashed = True
         self.crashed_at = at
         return lost
@@ -549,6 +536,8 @@ class FleetEvent:
 def validate_fleet_events(
     events: "list[FleetEvent] | tuple[FleetEvent, ...]",
     initial_devices: int,
+    *,
+    max_capacity_bytes: int | None = None,
 ) -> None:
     """Reject an inconsistent elasticity schedule *before* the run.
 
@@ -557,7 +546,9 @@ def validate_fleet_events(
     for ties — exactly how the schedulers apply them) and raises
     :class:`~repro.errors.FleetEventError` when a ``retire`` names a
     device index the fleet has not reached by that time, or retires the
-    same device twice.  Per-event field validation already happened in
+    same device twice — and, given ``max_capacity_bytes`` (the modelled
+    GPU's device memory), when an ``add`` joins a device larger than
+    strategies can plan for.  Per-event field validation already happened in
     :meth:`FleetEvent.__post_init__`; this catches the cross-event
     inconsistencies a single event cannot see.  Without this check a
     bad schedule would fail mid-run, after the simulation has already
@@ -567,6 +558,16 @@ def validate_fleet_events(
     gone: set[int] = set()
     for event in sorted(events, key=lambda e: e.at):
         if event.action == "add":
+            if (
+                max_capacity_bytes is not None
+                and event.capacity_bytes > max_capacity_bytes
+            ):
+                raise FleetEventError(
+                    f"fleet event at t={event.at} adds device {count} "
+                    f"with {event.capacity_bytes} bytes, above the "
+                    f"modelled GPU's {max_capacity_bytes}-byte device "
+                    "memory"
+                )
             count += 1
         else:  # "retire" — __post_init__ rejected everything else
             assert event.device is not None

@@ -29,17 +29,18 @@ admitted* — and, on a sharded fleet, *where*.  The scheduler:
 * releases the reservation at the query's simulated finish time, which
   is the event that admits the next waiting query.
 
-Three scheduling modes share that admission policy: batch
-(:meth:`QueryScheduler.run`, one full per-device re-simulation per
-admission wave — only devices that gained tasks re-simulate), online
-(:meth:`QueryScheduler.run_online`, incremental schedule extension per
-arrival via :meth:`~repro.pipeline.engine.PipelineEngine.extend`, each
-device carrying its own ``lane_state``), and streaming
-(:meth:`QueryScheduler.run_stream`, the online loop plus bounded-queue
-admission with load shedding and periodic schedule compaction, built
-for steady-state runs of 10^5+ arrivals).  Batch and online outcomes
-are bit-identical, and streaming is bit-identical to both whenever
-shedding is disabled; only the wall-clock and memory costs differ.
+One event loop implements that admission policy, with two entry
+points.  :meth:`QueryScheduler.run` serves a finite batch of requests
+and never sheds: it sorts them by ``submit_at`` and returns a
+:class:`ServeReport` with the merged schedule and per-query rows.
+:meth:`QueryScheduler.run_stream` consumes a lazily generated stream
+and adds bounded-queue, SLO and deadline-expiry shedding plus periodic
+schedule compaction, keeping retained state O(in-flight) over 10^5+
+arrivals.  Either way every admission wave is placed by
+:meth:`~repro.pipeline.engine.PipelineEngine.extend` on the placed
+device's carried-over lane state, so a wave costs O(new tasks); with
+shedding and compaction off, the two entry points give identical
+outcomes.
 
 The fleet may be **heterogeneous and elastic**.  Each device carries
 its own :class:`~repro.gpusim.calibration.Calibration`
@@ -134,7 +135,7 @@ def percentile(
     """Nearest-rank percentile: the smallest value with at least ``q``
     of the population at or below it (``rank = ceil(q*n) - 1`` into the
     sorted list, clamped).  This is the convention
-    :attr:`ServeReport.p95_latency` has always used — every latency /
+    :attr:`StreamReport.p95_latency` has always used — every latency /
     queue-depth percentile in the serving layer goes through this one
     helper so reports and benches can't drift apart.  Returns ``empty``
     for an empty population — 0.0 by default (the report-level
@@ -166,8 +167,8 @@ class ClassStats:
     latency.  ``deadline_count`` is the completed queries carrying a
     finite hard deadline, ``deadline_missed`` how many of those
     finished past it, and ``deadline_expired`` the queued queries
-    streaming shed at deadline expiry (always 0 for batch / online
-    runs, which never shed).
+    :meth:`QueryScheduler.run_stream` shed at deadline expiry (always 0
+    for :meth:`QueryScheduler.run`, which never sheds).
     """
 
     count: int
@@ -236,8 +237,8 @@ class QueryRequest:
     clock the scheduler and engine share), not wall clock.
     ``slo_wait_seconds`` is this query's own admission-wait ceiling for
     :meth:`QueryScheduler.run_stream` (simulated seconds; overrides the
-    stream-wide default; ignored by :meth:`QueryScheduler.run` /
-    :meth:`~QueryScheduler.run_online`, which never shed).
+    stream-wide default); :meth:`QueryScheduler.run` never sheds, so it
+    ignores the ceiling and the class deadline's expiry alike.
     """
 
     qid: str
@@ -329,198 +330,6 @@ class QueryOutcome:
         return self.strategy != self.solo_strategy
 
 
-@dataclass
-class ServeReport:
-    """The outcome of one scheduler run over a batch of queries.
-
-    ``makespan`` and the latency aggregates are **simulated seconds**;
-    ``capacity_bytes`` / ``peak_reserved_bytes`` are **bytes** — with a
-    sharded fleet, ``capacity_bytes`` is *per device* and
-    ``peak_reserved_bytes`` is the highest single-device peak
-    (per-device peaks in :attr:`device_peak_bytes`).  ``schedule`` is
-    the single device's schedule with ``devices=1`` and the merged
-    reporting view (:meth:`~repro.pipeline.tasks.Schedule.merged`)
-    otherwise.  Batch (:meth:`QueryScheduler.run`) and online
-    (:meth:`QueryScheduler.run_online`) admission produce identical
-    reports for the same requests.
-    """
-
-    outcomes: list[QueryOutcome]
-    makespan: float
-    capacity_bytes: int
-    peak_reserved_bytes: int
-    schedule: Schedule | None = field(default=None, repr=False)
-    devices: int = 1
-    #: Exact per-device reservation high-water marks, in **bytes**.
-    device_peak_bytes: tuple[int, ...] = ()
-    #: Per-device arena capacities, in **bytes** — unequal on a
-    #: heterogeneous fleet (``capacity_bytes`` is then the largest).
-    #: Grows past the configured device count when a fleet event added
-    #: devices mid-run.
-    device_capacity_bytes: tuple[int, ...] = ()
-    #: The drained per-device arenas — their ledgers and timelines are
-    #: what the property-based suite audits after every run.
-    arenas: list[DeviceMemoryArena] | None = field(default=None, repr=False)
-    #: Queries the run gave up on (fault-injected runs only — empty
-    #: otherwise): retry budget exhausted, or the whole fleet was lost.
-    #: With faults, ``completed + failed == submitted`` always holds.
-    failed: list[FailedOutcome] = field(default_factory=list)
-
-    @property
-    def failed_count(self) -> int:
-        return len(self.failed)
-
-    @property
-    def retried_count(self) -> int:
-        """Completed queries that needed at least one re-admission."""
-        return sum(1 for o in self.outcomes if o.retries > 0)
-
-    @property
-    def serial_seconds(self) -> float:
-        """Total solo work: the sum of solo makespans."""
-        return sum(item.solo_seconds for item in self.outcomes)
-
-    @property
-    def serial_makespan(self) -> float:
-        """Serial back-to-back baseline honouring submission times: each
-        query starts at ``max(previous finish, submit_at)`` on **one**
-        device.  For one batch (all submitted together) this equals
-        :attr:`serial_seconds`; for staggered arrivals it includes the
-        idle gaps a serial executor would also sit through."""
-        clock = 0.0
-        for item in sorted(self.outcomes, key=lambda o: o.submit_at):
-            clock = max(clock, item.submit_at) + item.solo_seconds
-        return clock
-
-    @property
-    def speedup(self) -> float:
-        return self.serial_makespan / self.makespan if self.makespan > 0 else 0.0
-
-    @property
-    def queries_per_second(self) -> float:
-        if self.makespan <= 0:
-            return 0.0
-        return len(self.outcomes) / self.makespan
-
-    @property
-    def mean_latency(self) -> float:
-        if not self.outcomes:
-            return 0.0
-        return sum(o.latency_seconds for o in self.outcomes) / len(self.outcomes)
-
-    @property
-    def p50_latency(self) -> float:
-        return percentile((o.latency_seconds for o in self.outcomes), 0.50)
-
-    @property
-    def p95_latency(self) -> float:
-        return percentile((o.latency_seconds for o in self.outcomes), 0.95)
-
-    @property
-    def p99_latency(self) -> float:
-        return percentile((o.latency_seconds for o in self.outcomes), 0.99)
-
-    @property
-    def degraded_count(self) -> int:
-        return sum(1 for o in self.outcomes if o.degraded)
-
-    @property
-    def stolen_count(self) -> int:
-        return sum(1 for o in self.outcomes if o.stolen)
-
-    @property
-    def deadline_count(self) -> int:
-        """Completed queries carrying a finite hard deadline."""
-        return sum(1 for o in self.outcomes if o.deadline_at != math.inf)
-
-    @property
-    def deadline_missed_count(self) -> int:
-        return sum(1 for o in self.outcomes if o.deadline_missed)
-
-    @property
-    def deadline_miss_rate(self) -> float:
-        """Misses over deadline-bearing completions (0.0 if none)."""
-        total = self.deadline_count
-        return self.deadline_missed_count / total if total else 0.0
-
-    def per_class_stats(self) -> dict[str, ClassStats]:
-        """Per-service-class p50/p99 latency and deadline-miss rate."""
-        return _group_class_stats(self.outcomes, "class_name")
-
-    def per_tenant_stats(self) -> dict[str, ClassStats]:
-        """Per-tenant p50/p99 latency and deadline-miss rate."""
-        return _group_class_stats(self.outcomes, "tenant")
-
-    @property
-    def _classed(self) -> bool:
-        """Any non-default class or deadline present?  Gates the render
-        additions so unclassed reports stay byte-identical to the
-        historical format."""
-        return any(
-            o.class_name != "default"
-            or o.tenant != "default"
-            or o.deadline_at != math.inf
-            for o in self.outcomes
-        )
-
-    def render(self) -> str:
-        """Aligned per-query table plus the summary line."""
-        sharded = self.devices > 1
-        device_header = f" {'dev':>3s}" if sharded else ""
-        lines = [
-            f"{'query':10s} {'strategy':22s}{device_header} {'reserved':>10s} "
-            f"{'admit (s)':>10s} {'finish (s)':>11s} {'latency (s)':>12s}  note"
-        ]
-        for o in self.outcomes:
-            notes = []
-            if o.degraded:
-                notes.append(f"degraded from {o.solo_strategy}")
-            if o.stolen:
-                notes.append(f"stolen by device {o.device}")
-            note = ", ".join(notes)
-            device_cell = f" {o.device:3d}" if sharded else ""
-            lines.append(
-                f"{o.qid:10s} {o.strategy:22s}{device_cell} "
-                f"{o.reserved_bytes / 1e9:8.2f}GB "
-                f"{o.admit_at:10.3f} {o.finish_at:11.3f} "
-                f"{o.latency_seconds:12.3f}  {note}"
-            )
-        fleet = f" across {self.devices} devices" if sharded else ""
-        lines.append(
-            f"makespan {self.makespan:.3f} s vs serial "
-            f"{self.serial_makespan:.3f} s ({self.speedup:.2f}x), "
-            f"{self.queries_per_second:.2f} q/s, latency p50/p95/p99 "
-            f"{self.p50_latency:.3f}/{self.p95_latency:.3f}/"
-            f"{self.p99_latency:.3f} s, peak memory "
-            f"{self.peak_reserved_bytes / 1e9:.2f} of "
-            f"{self.capacity_bytes / 1e9:.2f} GB{fleet}"
-        )
-        if self._classed:
-            # Classed runs only, so unclassed renders stay byte-
-            # identical to the historical format.
-            for label, stats in self.per_class_stats().items():
-                lines.append(
-                    f"class {label}: {stats.count} completed, p50/p99 "
-                    f"{_fmt_secs(stats.p50_latency)}/"
-                    f"{_fmt_secs(stats.p99_latency)} s, "
-                    f"deadline miss {stats.deadline_miss_rate * 100:.1f}% "
-                    f"({stats.deadline_missed}/{stats.deadline_count})"
-                )
-        if self.failed:
-            # Only faulted runs ever reach here, so fault-free renders
-            # stay byte-identical to the historical format.
-            lines.append(
-                f"{self.failed_count} failed ("
-                + ", ".join(
-                    f"{f.qid}: {f.reason} after {f.attempts} retr"
-                    + ("y" if f.attempts == 1 else "ies")
-                    for f in self.failed
-                )
-                + f"); {self.retried_count} completed after retries"
-            )
-        return "\n".join(lines)
-
-
 @dataclass(frozen=True)
 class ShedOutcome:
     """One load-shed query: rejected or expired, never completed.
@@ -555,7 +364,8 @@ class ShedOutcome:
 
 @dataclass
 class StreamReport:
-    """The outcome of one :meth:`QueryScheduler.run_stream` run.
+    """The outcome of one :meth:`QueryScheduler.run_stream` run, and the
+    aggregates every serving report shares.
 
     Aggregates are folded into running accumulators as queries finish —
     before their tasks are compacted away — so the report is exact even
@@ -564,7 +374,8 @@ class StreamReport:
     in :attr:`shed` and fault-failed queries in :attr:`failed`, never
     silently dropped:
     ``completed + shed_count + failed_count == arrivals`` always holds
-    (``failed`` is empty without fault injection).
+    (``failed`` is empty without fault injection).  ``outcomes`` are in
+    completion order.
     """
 
     outcomes: list[QueryOutcome]
@@ -574,8 +385,10 @@ class StreamReport:
     capacity_bytes: int
     devices: int
     device_peak_bytes: tuple[int, ...] = ()
-    #: Per-device arena capacities, in **bytes** (see
-    #: :attr:`ServeReport.device_capacity_bytes`).
+    #: Per-device arena capacities, in **bytes** — unequal on a
+    #: heterogeneous fleet (``capacity_bytes`` is then the largest).
+    #: Grows past the configured device count when a fleet event added
+    #: devices mid-run.
     device_capacity_bytes: tuple[int, ...] = ()
     #: High-water mark of retained (non-retired) scheduled tasks across
     #: the fleet — the quantity compaction bounds to O(in-flight).
@@ -589,6 +402,8 @@ class StreamReport:
     compactions: int = 0
     #: Wait-queue depth sampled at every ingestion (one per arrival).
     queue_depths: list[int] = field(default_factory=list, repr=False)
+    #: The drained per-device arenas — their ledgers and timelines are
+    #: what the property-based suites audit after every run.
     arenas: list[DeviceMemoryArena] | None = field(default=None, repr=False)
     #: Queries the run gave up on (fault-injected runs only):
     #: retry budget exhausted, or the whole fleet was lost.
@@ -751,17 +566,114 @@ class StreamReport:
         return "\n".join(lines)
 
 
-class QueryScheduler:
-    """Runs batches of queries concurrently on a simulated GPU fleet.
+@dataclass
+class ServeReport(StreamReport):
+    """The outcome of one :meth:`QueryScheduler.run` over a batch of
+    queries: a :class:`StreamReport` (nothing is ever shed) whose
+    ``outcomes`` follow the request order, plus the schedule, the peak
+    reservation and the serial baselines.
 
-    Two entry points with **bit-identical outcomes**: :meth:`run`
-    (batch — full per-device re-simulation per admission wave, the
-    executable specification) and :meth:`run_online` (incremental
-    schedule extension, the cheap production path).  Both are
-    deterministic — identical request lists produce identical reports —
-    and both lean on the process-wide :mod:`repro.core.estimate_cache`
-    for every solo/degraded/wait estimate *and* every prepared plan,
-    which are pure memoizations: cached and recomputed values are
+    ``makespan`` is the schedule's — on a faulted run it also covers
+    finished pre-crash fragments of lost queries.  With a sharded fleet
+    ``capacity_bytes`` is *per device* and ``peak_reserved_bytes`` the
+    highest single-device peak (**bytes**; per-device peaks in
+    :attr:`device_peak_bytes`).  ``schedule`` is the single device's
+    schedule with ``devices=1`` and the merged reporting view
+    (:meth:`~repro.pipeline.tasks.Schedule.merged`) otherwise.
+    """
+
+    peak_reserved_bytes: int = 0
+    schedule: Schedule | None = field(default=None, repr=False)
+
+    @property
+    def serial_seconds(self) -> float:
+        """Total solo work: the sum of solo makespans."""
+        return sum(item.solo_seconds for item in self.outcomes)
+
+    @property
+    def serial_makespan(self) -> float:
+        """Serial back-to-back baseline honouring submission times: each
+        query starts at ``max(previous finish, submit_at)`` on **one**
+        device.  For one batch (all submitted together) this equals
+        :attr:`serial_seconds`; for staggered arrivals it includes the
+        idle gaps a serial executor would also sit through."""
+        clock = 0.0
+        for item in sorted(self.outcomes, key=lambda o: o.submit_at):
+            clock = max(clock, item.submit_at) + item.solo_seconds
+        return clock
+
+    @property
+    def speedup(self) -> float:
+        return self.serial_makespan / self.makespan if self.makespan > 0 else 0.0
+
+    def render(self) -> str:
+        """Aligned per-query table plus the summary line."""
+        sharded = self.devices > 1
+        device_header = f" {'dev':>3s}" if sharded else ""
+        lines = [
+            f"{'query':10s} {'strategy':22s}{device_header} {'reserved':>10s} "
+            f"{'admit (s)':>10s} {'finish (s)':>11s} {'latency (s)':>12s}  note"
+        ]
+        for o in self.outcomes:
+            notes = []
+            if o.degraded:
+                notes.append(f"degraded from {o.solo_strategy}")
+            if o.stolen:
+                notes.append(f"stolen by device {o.device}")
+            note = ", ".join(notes)
+            device_cell = f" {o.device:3d}" if sharded else ""
+            lines.append(
+                f"{o.qid:10s} {o.strategy:22s}{device_cell} "
+                f"{o.reserved_bytes / 1e9:8.2f}GB "
+                f"{o.admit_at:10.3f} {o.finish_at:11.3f} "
+                f"{o.latency_seconds:12.3f}  {note}"
+            )
+        fleet = f" across {self.devices} devices" if sharded else ""
+        lines.append(
+            f"makespan {self.makespan:.3f} s vs serial "
+            f"{self.serial_makespan:.3f} s ({self.speedup:.2f}x), "
+            f"{self.sustained_qps:.2f} q/s, latency p50/p95/p99 "
+            f"{self.p50_latency:.3f}/{self.p95_latency:.3f}/"
+            f"{self.p99_latency:.3f} s, peak memory "
+            f"{self.peak_reserved_bytes / 1e9:.2f} of "
+            f"{self.capacity_bytes / 1e9:.2f} GB{fleet}"
+        )
+        if self._classed:
+            # Classed runs only, so unclassed renders stay byte-
+            # identical to the historical format.
+            for label, stats in self.per_class_stats().items():
+                lines.append(
+                    f"class {label}: {stats.count} completed, p50/p99 "
+                    f"{_fmt_secs(stats.p50_latency)}/"
+                    f"{_fmt_secs(stats.p99_latency)} s, "
+                    f"deadline miss {stats.deadline_miss_rate * 100:.1f}% "
+                    f"({stats.deadline_missed}/{stats.deadline_count})"
+                )
+        if self.failed:
+            # Only faulted runs ever reach here, so fault-free renders
+            # stay byte-identical to the historical format.
+            lines.append(
+                f"{self.failed_count} failed ("
+                + ", ".join(
+                    f"{f.qid}: {f.reason} after {f.attempts} retr"
+                    + ("y" if f.attempts == 1 else "ies")
+                    for f in self.failed
+                )
+                + f"); {self.retried_count} completed after retries"
+            )
+        return "\n".join(lines)
+
+
+class QueryScheduler:
+    """Serves queries concurrently on a simulated GPU fleet.
+
+    One event loop, two entry points: :meth:`run` serves a finite batch
+    and never sheds, :meth:`run_stream` serves a lazy stream with load
+    shedding and schedule compaction.  Both are deterministic —
+    identical request lists produce identical reports — and both lean
+    on the process-wide :mod:`repro.core.estimate_cache` for every
+    solo/degraded/wait estimate *and* every prepared plan, which are
+    pure memoizations: cached and recomputed values are
     interchangeable.  Memory quantities are **bytes**, times
     **simulated seconds**.
 
@@ -834,6 +746,7 @@ class QueryScheduler:
         retry_backoff_seconds: float = 0.05,
         learned: bool = False,
     ):
+        self.system = system or SystemSpec()
         if max_degradation is not None and max_degradation < 1.0:
             raise InvalidConfigError("max_degradation must be >= 1.0")
         if devices < 1:
@@ -849,11 +762,20 @@ class QueryScheduler:
                     f"entries for devices={devices}; give one capacity "
                     "per device"
                 )
+            limit = self.system.gpu.device_memory
             for index, cap in enumerate(device_capacities):
                 if cap <= 0:
                     raise InvalidConfigError(
                         f"device_capacities[{index}] must be positive "
                         f"bytes, got {cap!r}"
+                    )
+                if cap > limit:
+                    # Strategies size their plans against the modelled
+                    # GPU's memory; a bigger arena would admit plans
+                    # that then overflow mid-run.
+                    raise InvalidConfigError(
+                        f"device_capacities[{index}] is {cap} bytes, above "
+                        f"the modelled GPU's {limit}-byte device memory"
                     )
         if device_calibrations is not None and len(device_calibrations) != devices:
             raise InvalidConfigError(
@@ -861,7 +783,6 @@ class QueryScheduler:
                 f"entries for devices={devices}; give one calibration "
                 "(or None for the default) per device"
             )
-        self.system = system or SystemSpec()
         self.calibration = calibration
         self.config = config
         self.lanes = dict(lanes or {})
@@ -980,22 +901,17 @@ class QueryScheduler:
     ) -> int:
         """Queue index of the admission policy's chosen candidate.
 
-        Builds the arrived-prefix view — every entry with ``submit_at
-        <= clock``; fault retries re-enter at the front with past
-        submit times and the tail stays submit-sorted, so arrivals are
-        always a contiguous prefix — asks the policy, and validates the
-        answer so a buggy policy raises *before* any queue or arena
-        mutation: an exception mid-pop leaves the run's books exactly
-        as they were.  FIFO never reaches here (``reorders=False``
+        The wait queue only ever holds arrived queries (fault retries
+        re-enter at the front with past submit times), so the whole
+        queue is the policy's candidate view.  The answer is validated
+        so a buggy policy raises *before* any queue or arena mutation:
+        an exception mid-pop leaves the run's books exactly as they
+        were.  FIFO never reaches here (``reorders=False``
         short-circuits to index 0 at the call sites), keeping the
         default path bit-identical to the pre-registry scheduler.
         """
         ctx.clock = clock
-        arrived: list[QueryRequest] = []
-        for request in queue:
-            if request.submit_at > clock:
-                break
-            arrived.append(request)
+        arrived = list(queue)
         pos = policy.select(arrived, ctx)
         if (
             not isinstance(pos, int)
@@ -1130,70 +1046,6 @@ class QueryScheduler:
             for task in plan.tasks
         ]
 
-    def _run_engine(
-        self, tasks: list[Task], resources: dict[str, int], device: int
-    ) -> Schedule:
-        engine = PipelineEngine(resources, device=device)
-        for task in tasks:
-            engine.add(task)
-        return engine.run()
-
-    # ------------------------------------------------------------------
-    def run(
-        self,
-        requests: list[QueryRequest],
-        *,
-        fleet_events: "Iterable[FleetEvent] | None" = None,
-        faults: "FaultPlan | None" = None,
-    ) -> ServeReport:
-        """Schedule a batch of queries and simulate to completion.
-
-        Arrivals (``submit_at``, simulated seconds) are processed
-        event-by-event, but every admission wave re-simulates each
-        device's whole task graph from scratch (devices untouched by
-        the wave keep their schedule) — the executable specification
-        that :meth:`run_online` is pinned against.  ``fleet_events``
-        adds/retires devices at their timestamps, between admissions;
-        ``faults`` injects device crashes and transient admission
-        failures (see :class:`~repro.serve.faults.FaultPlan`), with
-        lost queries retried through the same admission path.
-        Deterministic: identical request, event and fault lists produce
-        identical reports.
-        """
-        return self._serve(
-            requests, incremental=False, fleet_events=fleet_events,
-            faults=faults,
-        )
-
-    def run_online(
-        self,
-        requests: list[QueryRequest],
-        *,
-        fleet_events: "Iterable[FleetEvent] | None" = None,
-        faults: "FaultPlan | None" = None,
-    ) -> ServeReport:
-        """Online admission: extend per-device schedules incrementally.
-
-        Same arrival-driven admission policy (admit / place / wait /
-        degrade against every device's live headroom, all placement
-        estimates served by the process-wide estimate cache) and
-        **bit-identical outcomes** to :meth:`run` — later admissions
-        join the tail of every FIFO lane on their device, so
-        already-placed tasks never move.  The difference is cost: each
-        arrival wave is placed by
-        :meth:`~repro.pipeline.engine.PipelineEngine.extend` on top of
-        the placed device's carried-over lane heaps, O(new tasks) per
-        wave instead of a re-simulation, which makes the serve wall
-        clock near-linear in client count.  Equivalence is asserted by
-        ``tests/serve/test_online.py``,
-        ``tests/serve/test_placement_properties.py`` and
-        ``bench/regress.py``.
-        """
-        return self._serve(
-            requests, incremental=True, fleet_events=fleet_events,
-            faults=faults,
-        )
-
     # ------------------------------------------------------------------
     def _place(
         self,
@@ -1325,22 +1177,17 @@ class QueryScheduler:
         owner: dict[str, DeviceState],
         clock: float,
         *,
-        incremental: bool,
-        keep_tasks: bool = True,
         stolen: bool = False,
         fault_run: "_FaultRun | None" = None,
     ) -> DeviceState:
-        """Commit a placement decision: reserve the arena grant, lower
-        the plan's namespaced task graph onto the device, and record the
-        outcome skeleton.  The plan and the predicted finish are built
-        under the *placed device's* calibration; the recorded
-        ``solo_seconds`` baseline stays on the scheduler default so
-        serial comparisons are device-independent.  Shared verbatim by
-        batch, online, streaming and stealing admission so their
-        committed state cannot drift.  ``keep_tasks=False`` (streaming)
-        skips the device's cumulative task list, which only batch
-        re-simulation reads — retaining it would be O(total
-        arrivals).
+        """Commit a placement decision: reserve the arena grant, queue
+        the plan's namespaced task graph for the device's next engine
+        pass, and record the outcome skeleton.  The plan and the
+        predicted finish are built under the *placed device's*
+        calibration; the recorded ``solo_seconds`` baseline stays on the
+        scheduler default so serial comparisons are device-independent.
+        Shared verbatim by head-of-line and stealing admission so their
+        committed state cannot drift.
 
         Re-admissions after a fault (``fault_run`` generation > 0)
         namespace their tasks under the alias ``qid~rN`` instead of the
@@ -1380,10 +1227,7 @@ class QueryScheduler:
         namespaced = self._namespace(
             plan, alias, clock, device.index
         )
-        if keep_tasks:
-            device.tasks.extend(namespaced)
-        if incremental:
-            device.wave_tasks.extend(namespaced)
+        device.wave_tasks.extend(namespaced)
         task_names[request.qid] = [task.name for task in namespaced]
         outcomes[request.qid] = QueryOutcome(
             qid=request.qid,
@@ -1412,7 +1256,6 @@ class QueryScheduler:
             request, key, need, device.calibration, solo_key
         )
         device.predicted_finish[request.qid] = clock + alone
-        device.dirty = True
         return device
 
     def _steal(
@@ -1424,8 +1267,6 @@ class QueryScheduler:
         owner: dict[str, DeviceState],
         clock: float,
         *,
-        incremental: bool,
-        keep_tasks: bool = True,
         fault_run: "_FaultRun | None" = None,
     ) -> list[tuple[DeviceState, str]]:
         """Work-stealing pass, run only after FIFO admission blocked on
@@ -1448,10 +1289,6 @@ class QueryScheduler:
             best: tuple[float, int, str, int] | None = None
             for pos in range(1, len(queue)):
                 request = queue[pos]
-                if request.submit_at > clock:
-                    # Batch/online queues hold future arrivals too, in
-                    # submit order — nothing past this point has arrived.
-                    break
                 key = self._choose(request, device.free_bytes)
                 need = strategy_factory(key).device_bytes_needed(
                     request.spec, self.system
@@ -1481,8 +1318,6 @@ class QueryScheduler:
                 task_names,
                 owner,
                 clock,
-                incremental=incremental,
-                keep_tasks=keep_tasks,
                 stolen=True,
                 fault_run=fault_run,
             )
@@ -1505,8 +1340,8 @@ class QueryScheduler:
             else:
                 fleet.retire_device(event.device)
 
-    @staticmethod
     def _sorted_events(
+        self,
         fleet_events: "Iterable[FleetEvent] | None",
         initial_devices: int,
     ) -> "deque[FleetEvent]":
@@ -1523,7 +1358,11 @@ class QueryScheduler:
                     f"fleet_events entries must be FleetEvent, got "
                     f"{type(event).__name__}"
                 )
-        validate_fleet_events(events, initial_devices)
+        validate_fleet_events(
+            events,
+            initial_devices,
+            max_capacity_bytes=self.system.gpu.device_memory,
+        )
         return deque(sorted(events, key=lambda e: e.at))
 
     def _start_faults(
@@ -1569,8 +1408,8 @@ class QueryScheduler:
         lost query's in-flight bookkeeping is dropped, and the query is
         charged one attempt — requeued with backoff, or recorded as
         failed when the budget is spent.  Returns the total number of
-        scheduled tasks invalidated, which streaming subtracts from its
-        in-flight task accounting (batch/online ignore it)."""
+        scheduled tasks invalidated, which the loop subtracts from its
+        in-flight task accounting."""
         lost_tasks = 0
         while fault_run.crashes and fault_run.crashes[0].at <= clock:
             event = fault_run.crashes.popleft()
@@ -1589,304 +1428,6 @@ class QueryScheduler:
             fault_run.crashed_devices[event.device] = event.at
         fault_run.requeue_ready(queue, clock)
         return lost_tasks
-
-    def _serve(
-        self,
-        requests: list[QueryRequest],
-        *,
-        incremental: bool,
-        fleet_events: "Iterable[FleetEvent] | None" = None,
-        faults: "FaultPlan | None" = None,
-    ) -> ServeReport:
-        # Every batch/online run executes under this scheduler's learned
-        # setting — a force-set in both directions, so learned=False
-        # runs are bit-identical to golden even when another component
-        # in the process has installed and activated a model.
-        with learned_cost.activation(self.learned):
-            return self._serve_impl(
-                requests, incremental=incremental,
-                fleet_events=fleet_events, faults=faults,
-            )
-
-    def _serve_impl(
-        self,
-        requests: list[QueryRequest],
-        *,
-        incremental: bool,
-        fleet_events: "Iterable[FleetEvent] | None" = None,
-        faults: "FaultPlan | None" = None,
-    ) -> ServeReport:
-        if len({r.qid for r in requests}) != len(requests):
-            raise InvalidConfigError("query ids must be unique")
-        self._solo_facts.clear()  # left over if an error cut a run short
-        fleet = self._build_fleet()
-        events = self._sorted_events(fleet_events, len(fleet))
-        fault_run = self._start_faults(faults, len(fleet), fleet_events)
-        capacity = max(fleet.device_capacities())
-        policy = create_placement_policy(self.placement)
-        policy.reset()
-        admission = create_admission_policy(self.admission)
-        admission.reset()
-        admission_ctx = AdmissionContext(
-            clock=0.0, solo_seconds=lambda r: self._solo(r)[1]
-        )
-        if not requests:
-            return ServeReport(
-                outcomes=[], makespan=0.0, capacity_bytes=capacity,
-                peak_reserved_bytes=0, devices=len(fleet),
-                device_peak_bytes=fleet.device_peaks(),
-                device_capacity_bytes=fleet.device_capacities(),
-                arenas=[device.arena for device in fleet],
-            )
-
-        pending: deque[QueryRequest] = deque(
-            sorted(requests, key=lambda r: r.submit_at)
-        )
-        task_names: dict[str, list[str]] = {}
-        outcomes: dict[str, QueryOutcome] = {}
-        owner: dict[str, DeviceState] = {}
-        clock = 0.0
-
-        while (
-            pending
-            or fleet.any_running()
-            or (fault_run is not None and fault_run.has_work())
-        ):
-            self._apply_fleet_events(fleet, events, clock)
-            if fault_run is not None:
-                self._apply_faults(
-                    fault_run, fleet, pending, outcomes, task_names,
-                    owner, clock,
-                )
-            if (
-                not fleet.any_running()
-                and pending
-                and pending[0].submit_at > clock
-            ):
-                # Idle jump — but never past a fleet event or a fault
-                # wakeup (crash / retry-ready), which may change what
-                # the next admission can see.
-                horizon = pending[0].submit_at
-                if events and events[0].at < horizon:
-                    horizon = events[0].at
-                if fault_run is not None:
-                    wake = fault_run.next_wake()
-                    if wake is not None and wake < horizon:
-                        horizon = wake
-                clock = horizon
-                self._apply_fleet_events(fleet, events, clock)
-                if fault_run is not None:
-                    self._apply_faults(
-                        fault_run, fleet, pending, outcomes, task_names,
-                        owner, clock,
-                    )
-            elif (
-                fault_run is not None
-                and not fleet.any_running()
-                and not pending
-                and fault_run.has_work()
-            ):
-                # Idle with an empty queue: only a waiting retry can
-                # produce more work (that's the loop condition), so jump
-                # to the next fault wakeup — clamped to fleet events.
-                horizon = fault_run.next_wake()
-                assert horizon is not None  # has_work() implies a retry
-                if events and events[0].at < horizon:
-                    horizon = events[0].at
-                clock = max(clock, horizon)
-                self._apply_fleet_events(fleet, events, clock)
-                self._apply_faults(
-                    fault_run, fleet, pending, outcomes, task_names,
-                    owner, clock,
-                )
-
-            if (
-                fault_run is not None
-                and not fleet.active()
-                and not any(e.action == "add" for e in events)
-            ):
-                # Fleet lost: every accepting device crashed (or was
-                # retiring) and none will join.  Nothing waiting — in
-                # the queue or the retry backlog — can ever be admitted;
-                # fail it all now instead of spinning.  Queries still
-                # draining on a retiring device finish normally.
-                fault_run.fail_stranded(pending)
-
-            # Admit while the admission policy's chosen head can be
-            # placed somewhere; head-of-line blocking — on the *chosen*
-            # head — keeps admission starvation-free.  FIFO (the
-            # default) always chooses index 0, reproducing the
-            # historical popleft loop exactly.
-            while pending and pending[0].submit_at <= clock:
-                pos = (
-                    self._admission_pos(
-                        admission, pending, admission_ctx, clock
-                    )
-                    if admission.reorders
-                    else 0
-                )
-                request = pending[pos]
-                if fault_run is not None and fault_run.take_admission_fault(
-                    request.qid
-                ):
-                    # Planned transient admission failure: the refusal
-                    # charges the same retry budget a crash does, and
-                    # the query re-queues after its backoff.
-                    del pending[pos]
-                    fault_run.record_failure(request, clock)
-                    continue
-                placed = self._place(
-                    request, fleet, policy, outcomes, clock,
-                    can_grow=any(e.action == "add" for e in events),
-                )
-                if placed is None:
-                    break
-                del pending[pos]
-                self._admit(
-                    request, placed, outcomes, task_names, owner, clock,
-                    incremental=incremental, fault_run=fault_run,
-                )
-                admission.record_admit(request, admission_ctx)
-
-            if self.steal and pending:
-                self._steal(
-                    pending, fleet, outcomes, task_names, owner, clock,
-                    incremental=incremental, fault_run=fault_run,
-                )
-
-            if not fleet.any_running():
-                if not pending:
-                    # Queue empty, nothing running: only waiting retries
-                    # keep the loop alive (loop condition); the idle
-                    # fault-wakeup jump above handles the clock.
-                    continue
-                if events:
-                    # Nothing running and the head is blocked (or yet to
-                    # arrive): only a fleet event can change the picture,
-                    # so jump straight to the next one.
-                    clock = max(clock, events[0].at)
-                    continue
-                if pending[0].submit_at > clock:
-                    # The idle jump above stopped short at a fleet event
-                    # or fault wakeup this pass (all applied now); loop
-                    # back so it can jump the rest of the way to the
-                    # head's arrival.
-                    continue
-                if fault_run is not None:
-                    wake = fault_run.next_wake()
-                    if wake is not None:
-                        # Head blocked on an idle, partially-crashed
-                        # fleet: a pending crash or retry is the only
-                        # remaining event source.
-                        clock = max(clock, wake)
-                        continue
-                # Livelock guard: an admission `break` with nothing
-                # running would spin forever (no release event can
-                # advance the clock).  Unreachable under the current
-                # policy — with an empty arena every accepting device
-                # offers the unconstrained placement — but a future gate
-                # that drops the `running` condition must fail loudly,
-                # not hang.
-                head = pending[0]  # pragma: no cover
-                raise SchedulingError(  # pragma: no cover
-                    f"query {head.qid!r} cannot be admitted on an idle fleet"
-                )
-
-            # One engine pass per device that gained tasks — FIFO queues
-            # mean later admissions never perturb earlier queries' start
-            # times, so finish events stay stable across re-runs and a
-            # clean device's schedule can be reused across pure release
-            # events.  Batch mode re-simulates the device's whole graph;
-            # online mode extends the carried-over schedule with just
-            # this wave's tasks (bit-identical by the FIFO-tail
-            # argument above).
-            for device in fleet:
-                if not device.dirty:
-                    continue
-                if incremental:
-                    if device.engine is None:
-                        device.engine = PipelineEngine(
-                            device.resources, device=device.index
-                        )
-                    # The pre-extension schedule is never used again,
-                    # so extend in place: O(new tasks) per wave.
-                    device.schedule = device.engine.extend(
-                        device.schedule, device.wave_tasks, in_place=True
-                    )
-                    device.wave_tasks = []
-                else:
-                    device.schedule = self._run_engine(
-                        device.tasks, device.resources, device.index
-                    )
-                device.dirty = False
-            finishes: dict[str, float] = {}
-            for device in fleet:
-                for qid in device.running:
-                    finishes[qid] = max(
-                        device.schedule.tasks[name].finish
-                        for name in task_names[qid]
-                    )
-                    device.predicted_finish[qid] = finishes[qid]
-            times = list(finishes.values())
-            if pending and pending[0].submit_at > clock:
-                times.append(pending[0].submit_at)
-            if events:
-                # A device join/retire is an admission opportunity too
-                # (all remaining events are strictly in the future —
-                # due ones were applied at the top of the loop).
-                times.append(events[0].at)
-            if fault_run is not None:
-                # Crash and retry-ready times are clock stops: a query
-                # must not simulate *through* a crash to a later finish,
-                # and a retry must not wait past its backoff.  (Due
-                # wakeups were applied at the top, so the next one is
-                # strictly in the future.)
-                wake = fault_run.next_wake()
-                if wake is not None and wake > clock:
-                    times.append(wake)
-            clock = min(times)
-            for qid in sorted(q for q in finishes if finishes[q] <= clock):
-                outcomes[qid].finish_at = finishes[qid]
-                outcomes[qid].deadline_missed = (
-                    finishes[qid] > outcomes[qid].deadline_at
-                )
-                device = owner[qid]
-                device.arena.release(qid, at=clock)
-                device.running.remove(qid)
-                del device.predicted_finish[qid]
-                self._solo_facts.pop(qid, None)
-                if fault_run is not None:
-                    fault_run.live.pop(qid, None)
-            fleet.finalize_retirements()
-
-        fleet.check_drained()
-        merged = fleet.merged_schedule()
-        # Failed queries (faulted runs) have no QueryOutcome — they are
-        # reported in `failed` instead; submission order is preserved
-        # for the rest.
-        ordered = [
-            outcomes[r.qid] for r in requests if r.qid in outcomes
-        ]
-        report = ServeReport(
-            outcomes=ordered,
-            makespan=merged.makespan,
-            capacity_bytes=capacity,
-            peak_reserved_bytes=max(fleet.device_peaks()),
-            schedule=merged,
-            devices=len(fleet),
-            device_peak_bytes=fleet.device_peaks(),
-            device_capacity_bytes=fleet.device_capacities(),
-            arenas=[device.arena for device in fleet],
-            failed=list(fault_run.failed) if fault_run is not None else [],
-        )
-        if fault_run is not None:
-            check_fault_invariants(
-                report,
-                faults,
-                arrivals=len(requests),
-                max_retries=self.max_retries,
-            )
-        return report
 
     # ------------------------------------------------------------------
     def _stream_wait_estimate(
@@ -1922,6 +1463,55 @@ class QueryScheduler:
             backlog += (facts.get(queued.qid) or self._solo(queued))[1]
         return backlog / len(active)
 
+    def run(
+        self,
+        requests: list[QueryRequest],
+        *,
+        fleet_events: "Iterable[FleetEvent] | None" = None,
+        faults: "FaultPlan | None" = None,
+    ) -> ServeReport:
+        """Serve a batch of queries to completion; never sheds.
+
+        The streaming loop of :meth:`run_stream` with shedding, deadline
+        expiry, per-request SLOs and compaction all off, over the
+        requests stably sorted by ``submit_at`` (simulated seconds).
+        Returns a :class:`ServeReport` whose outcomes follow the request
+        order, with the merged schedule, its makespan and the peak
+        per-device reservation.  ``fleet_events`` adds/retires devices
+        at their timestamps, between admissions; ``faults`` injects
+        device crashes and transient admission failures (see
+        :class:`~repro.serve.faults.FaultPlan`), with lost queries
+        retried through the same admission path.  Deterministic:
+        identical request, event and fault lists produce identical
+        reports.
+        """
+        if len({r.qid for r in requests}) != len(requests):
+            raise InvalidConfigError("query ids must be unique")
+        with learned_cost.activation(self.learned):
+            stream, fleet = self._loop(
+                sorted(requests, key=lambda r: r.submit_at),
+                shedding=False,
+                max_queue_depth=None,
+                slo_wait_seconds=None,
+                compact_every=None,
+                fleet_events=fleet_events,
+                faults=faults,
+            )
+        position = {r.qid: index for index, r in enumerate(requests)}
+        merged = fleet.merged_schedule()
+        report = ServeReport(
+            **{
+                **vars(stream),
+                "outcomes": sorted(
+                    stream.outcomes, key=lambda o: position[o.qid]
+                ),
+                "makespan": merged.makespan,
+            },
+            peak_reserved_bytes=max(fleet.device_peaks()),
+            schedule=merged,
+        )
+        return self._audit(report, faults)
+
     def run_stream(
         self,
         requests: "Iterable[QueryRequest]",
@@ -1937,15 +1527,14 @@ class QueryScheduler:
 
         Consumes ``requests`` lazily (they must arrive sorted by
         ``submit_at`` with unique qids — a generator works and keeps
-        ingestion O(1) memory) and runs the **same** event loop as
-        :meth:`run_online`: FIFO head-of-line admission against live
-        per-device headroom, incremental schedule extension, release at
-        simulated finish.  With shedding disabled (no depth cap, no SLO
-        anywhere) the per-query outcomes, device assignments and final
-        makespan are **bit-identical** to :meth:`run_online` on the
-        same requests — asserted by
-        ``tests/serve/test_stream_properties.py`` — while memory stays
-        O(in-flight):
+        ingestion O(1) memory) through the event loop :meth:`run` also
+        uses: head-of-line admission against live per-device headroom,
+        incremental schedule extension, release at simulated finish.
+        With shedding disabled (no depth cap, no SLO anywhere, no
+        deadline-bearing class) the per-query outcomes and device
+        assignments are **bit-identical** to :meth:`run` on the same
+        requests — asserted by ``tests/serve/test_stream_properties.py``
+        — while memory stays O(in-flight):
 
         * every ``compact_every`` releases, each device's engine
           retires tasks that finished at or before the clock
@@ -1955,9 +1544,7 @@ class QueryScheduler:
         * per-query stats are recorded in their :class:`QueryOutcome`
           at admission/extension time — before compaction can drop the
           tasks — and folded into the :class:`StreamReport`
-          accumulators at release;
-        * the device's cumulative task list (batch-mode input) is not
-          kept at all.
+          accumulators at release.
 
         Backpressure, applied at **ingestion** (when the stream first
         presents the arrival), recorded as :class:`ShedOutcome`, never
@@ -1984,10 +1571,10 @@ class QueryScheduler:
         differential testing).
 
         ``fleet_events`` adds/retires devices at their timestamps
-        (between admissions, exactly as in :meth:`run` /
-        :meth:`run_online`); with ``steal=True`` on the scheduler, the
-        work-stealing pass runs here too, with stolen admissions
-        counted by :attr:`StreamReport.stolen_count`.
+        (between admissions, exactly as in :meth:`run`); with
+        ``steal=True`` on the scheduler, the work-stealing pass runs
+        here too, with stolen admissions counted by
+        :attr:`StreamReport.stolen_count`.
 
         ``faults`` injects device crashes and transient admission
         failures (:class:`~repro.serve.faults.FaultPlan`); lost queries
@@ -1995,28 +1582,52 @@ class QueryScheduler:
         ``max_retries`` budget and exhausted/stranded queries land in
         :attr:`StreamReport.failed` — conservation then reads
         ``completed + shed + failed == arrivals``.  An empty plan runs
-        the exact fault-free path.
+        the exact fault-free path.  The report's makespan folds in
+        completed queries only.
         """
         with learned_cost.activation(self.learned):
-            return self._run_stream_impl(
+            report, _ = self._loop(
                 requests,
+                shedding=True,
                 max_queue_depth=max_queue_depth,
                 slo_wait_seconds=slo_wait_seconds,
                 compact_every=compact_every,
                 fleet_events=fleet_events,
                 faults=faults,
             )
+        return self._audit(report, faults)
 
-    def _run_stream_impl(
+    def _audit(self, report: StreamReport, faults: "FaultPlan | None"):
+        """Every faulted run ends in the fault-invariant audit."""
+        if faults is not None and not faults.is_empty:
+            check_fault_invariants(
+                report,
+                faults,
+                arrivals=report.arrivals,
+                max_retries=self.max_retries,
+            )
+        return report
+
+    def _loop(
         self,
         requests: "Iterable[QueryRequest]",
         *,
+        shedding: bool,
         max_queue_depth: int | None,
         slo_wait_seconds: float | None,
         compact_every: int | None,
         fleet_events: "Iterable[FleetEvent] | None",
         faults: "FaultPlan | None",
-    ) -> StreamReport:
+    ) -> tuple[StreamReport, DeviceFleet]:
+        """The serving event loop behind both entry points.  ``shedding``
+        enables every shedding verdict (queue cap, SLOs, deadline
+        expiry); off, every arrival is queued until admitted or failed.
+        Returns the un-audited report and the fleet it ran on.
+
+        Callers run it inside ``learned_cost.activation(self.learned)``
+        — a force-set in both directions, so ``learned=False`` runs are
+        bit-identical to golden even when another component in the
+        process has installed and activated a model."""
         if max_queue_depth is not None and max_queue_depth < 1:
             raise InvalidConfigError("max_queue_depth must be >= 1")
         if slo_wait_seconds is not None and slo_wait_seconds < 0:
@@ -2035,9 +1646,9 @@ class QueryScheduler:
         admission_ctx = AdmissionContext(
             clock=0.0, solo_seconds=lambda r: self._solo(r)[1]
         )
-        #: Set the first time a deadline-bearing query is ingested;
-        #: gates the per-wave expiry sweep so deadline-free streams run
-        #: the exact historical path.
+        #: Set the first time a deadline-bearing query is ingested while
+        #: shedding; gates the per-wave expiry sweep so deadline-free
+        #: streams run the exact historical path.
         any_deadlines = False
 
         arrivals = iter(requests)
@@ -2070,11 +1681,33 @@ class QueryScheduler:
         compactions = 0
         released_since_compact = 0
 
+        def pull() -> QueryRequest:
+            """Take the next arrival off the stream, checking order and
+            qid uniqueness."""
+            nonlocal next_req, last_submit, arrived
+            request = next_req
+            if request.submit_at < last_submit:
+                raise InvalidConfigError(
+                    f"stream arrivals must be sorted by submit_at: "
+                    f"{request.qid!r} at {request.submit_at} after "
+                    f"{last_submit}"
+                )
+            last_submit = request.submit_at
+            if request.qid in seen:
+                raise InvalidConfigError("query ids must be unique")
+            seen.add(request.qid)
+            arrived += 1
+            next_req = next(arrivals, None)
+            return request
+
         def ingest(request: QueryRequest) -> None:
             """Shed or enqueue one arrival, verdict referenced to the
             arrival's own submit time."""
             depth = len(wait_queue)
             queue_depths.append(depth)
+            if not shedding:
+                wait_queue.append(request)
+                return
             if max_queue_depth is not None and depth >= max_queue_depth:
                 shed.append(ShedOutcome(
                     qid=request.qid,
@@ -2175,44 +1808,20 @@ class QueryScheduler:
                 # still account for every arrival.
                 fault_run.fail_stranded(wait_queue)
                 while next_req is not None:
-                    request = next_req
-                    if request.submit_at < last_submit:
-                        raise InvalidConfigError(
-                            f"stream arrivals must be sorted by "
-                            f"submit_at: {request.qid!r} at "
-                            f"{request.submit_at} after {last_submit}"
-                        )
-                    last_submit = request.submit_at
-                    if request.qid in seen:
-                        raise InvalidConfigError(
-                            "query ids must be unique"
-                        )
-                    seen.add(request.qid)
-                    arrived += 1
-                    fault_run.fail_now(request, reason="fleet_lost")
-                    next_req = next(arrivals, None)
+                    fault_run.fail_now(pull(), reason="fleet_lost")
 
-            # Ingest every arrival due by now.  Mirrors `_serve`'s
-            # pending deque exactly: an arrival behind a blocked head is
-            # considered only once the clock reaches it, and ingestion
-            # itself never advances the clock.
+            # Ingest every arrival due by now: an arrival behind a
+            # blocked head is considered only once the clock reaches
+            # it, and ingestion itself never advances the clock.
             while next_req is not None and next_req.submit_at <= clock:
-                request = next_req
-                if request.submit_at < last_submit:
-                    raise InvalidConfigError(
-                        f"stream arrivals must be sorted by submit_at: "
-                        f"{request.qid!r} at {request.submit_at} after "
-                        f"{last_submit}"
-                    )
-                last_submit = request.submit_at
-                if request.qid in seen:
-                    raise InvalidConfigError("query ids must be unique")
-                seen.add(request.qid)
-                arrived += 1
-                if not any_deadlines and hard_deadline(request) != math.inf:
+                request = pull()
+                if (
+                    shedding
+                    and not any_deadlines
+                    and hard_deadline(request) != math.inf
+                ):
                     any_deadlines = True
                 ingest(request)
-                next_req = next(arrivals, None)
 
             if any_deadlines and wait_queue:
                 # Shed queued queries whose hard deadline has already
@@ -2248,10 +1857,9 @@ class QueryScheduler:
                             del wait_queue[pos]
 
             # Admit while the admission policy's chosen head can be
-            # placed somewhere — identical head-of-line blocking to
-            # `_serve` (the stream's wait queue only ever holds arrived
-            # queries, so the whole queue is the policy's candidate
-            # view).
+            # placed somewhere; head-of-line blocking — on the *chosen*
+            # head — keeps admission starvation-free.  FIFO (the
+            # default) always chooses index 0.
             while wait_queue:
                 pos = (
                     self._admission_pos(
@@ -2264,8 +1872,9 @@ class QueryScheduler:
                 if fault_run is not None and fault_run.take_admission_fault(
                     request.qid
                 ):
-                    # Transient admission failure — same budget and
-                    # backoff as a crash loss (see `_serve`).
+                    # Planned transient admission failure: the refusal
+                    # charges the same retry budget a crash does, and
+                    # the query re-queues after its backoff.
                     del wait_queue[pos]
                     fault_run.record_failure(request, clock)
                     continue
@@ -2278,31 +1887,16 @@ class QueryScheduler:
                 del wait_queue[pos]
                 device = self._admit(
                     request, placed, outcomes, task_names, owner, clock,
-                    incremental=True, keep_tasks=False,
                     fault_run=fault_run,
                 )
                 admission.record_admit(request, admission_ctx)
-                ntasks = len(task_names[request.qid])
-                inflight_tasks += ntasks
-                if ntasks > max_tasks_per_query:
-                    max_tasks_per_query = ntasks
-                if inflight_tasks > peak_inflight_tasks:
-                    peak_inflight_tasks = inflight_tasks
                 admitted_wave.append((device, request.qid))
 
             if self.steal and wait_queue:
-                for device, qid in self._steal(
+                admitted_wave += self._steal(
                     wait_queue, fleet, outcomes, task_names, owner, clock,
-                    incremental=True, keep_tasks=False,
                     fault_run=fault_run,
-                ):
-                    ntasks = len(task_names[qid])
-                    inflight_tasks += ntasks
-                    if ntasks > max_tasks_per_query:
-                        max_tasks_per_query = ntasks
-                    if inflight_tasks > peak_inflight_tasks:
-                        peak_inflight_tasks = inflight_tasks
-                    admitted_wave.append((device, qid))
+                )
 
             if wait_queue and not fleet.any_running():
                 if events:
@@ -2322,7 +1916,7 @@ class QueryScheduler:
                 )
 
             for device in fleet:
-                if not device.dirty:
+                if not device.wave_tasks:
                     continue
                 if device.engine is None:
                     device.engine = PipelineEngine(
@@ -2332,18 +1926,17 @@ class QueryScheduler:
                     device.schedule, device.wave_tasks, in_place=True
                 )
                 device.wave_tasks = []
-                device.dirty = False
 
             # Each admitted query's finish is read once, right after its
             # wave's extension: FIFO lanes mean later admissions never
-            # move it (the same guarantee `run_online` leans on), so
-            # release events come from a heap instead of re-reading the
-            # schedule — which compaction may have trimmed — every wave.
+            # move it, so release events come from a heap instead of
+            # re-reading the schedule — which compaction may have
+            # trimmed — every wave.
             for device, qid in admitted_wave:
-                finish = max(
-                    device.schedule.tasks[name].finish
-                    for name in task_names[qid]
-                )
+                names = task_names[qid]
+                inflight_tasks += len(names)
+                max_tasks_per_query = max(max_tasks_per_query, len(names))
+                finish = max(device.schedule.tasks[name].finish for name in names)
                 outcomes[qid].finish_at = finish
                 outcomes[qid].deadline_missed = (
                     finish > outcomes[qid].deadline_at
@@ -2359,6 +1952,7 @@ class QueryScheduler:
                     # not count.
                     makespan = finish
             admitted_wave = []
+            peak_inflight_tasks = max(peak_inflight_tasks, inflight_tasks)
             retained = sum(len(device.schedule.tasks) for device in fleet)
             if retained > peak_retained_tasks:
                 peak_retained_tasks = retained
@@ -2378,9 +1972,11 @@ class QueryScheduler:
                 # are admission opportunities.
                 times.append(events[0].at)
             if fault_run is not None:
-                # Crash / retry-ready times are clock stops (see
-                # `_serve`); due ones were applied at the top, so the
-                # next is strictly in the future.
+                # Crash and retry-ready times are clock stops: a query
+                # must not simulate *through* a crash to a later finish,
+                # and a retry must not wait past its backoff.  Due
+                # wakeups were applied at the top, so the next one is
+                # strictly in the future.
                 wake = fault_run.next_wake()
                 if wake is not None and wake > clock:
                     times.append(wake)
@@ -2427,7 +2023,7 @@ class QueryScheduler:
                 released_since_compact = 0
 
         fleet.check_drained()
-        report = StreamReport(
+        return StreamReport(
             outcomes=completed,
             shed=shed,
             arrivals=arrived,
@@ -2444,12 +2040,4 @@ class QueryScheduler:
             queue_depths=queue_depths,
             arenas=[device.arena for device in fleet],
             failed=list(fault_run.failed) if fault_run is not None else [],
-        )
-        if fault_run is not None:
-            check_fault_invariants(
-                report,
-                faults,
-                arrivals=arrived,
-                max_retries=self.max_retries,
-            )
-        return report
+        ), fleet

