@@ -19,11 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.config import GpuJoinConfig, default_config
-from repro.core.gpu_partitioned import (
-    OUT_TUPLE_BYTES,
-    GpuPartitionedJoin,
-    spec_from_relations,
-)
+from repro.core.gpu_partitioned import OUT_TUPLE_BYTES, GpuPartitionedJoin
 from repro.core.results import JoinRunResult
 from repro.core.strategy import (
     COPROCESSING,
@@ -35,7 +31,7 @@ from repro.core.working_set import WorkingSet, pack_working_sets
 from repro.cpu.numa import NumaModel
 from repro.cpu.radix_partition import CpuPartitionModel, cpu_radix_partition
 from repro.data import stats as stats_mod
-from repro.data.relation import Relation
+from repro.data.relation import Relation, spec_from_relations
 from repro.data.spec import JoinSpec
 from repro.errors import InvalidConfigError
 from repro.gpusim.calibration import Calibration

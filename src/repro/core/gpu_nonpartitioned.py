@@ -8,7 +8,7 @@ the evaluation harness can sweep both families uniformly.
 from __future__ import annotations
 
 from repro.core.config import GpuJoinConfig
-from repro.core.gpu_partitioned import OUT_TUPLE_BYTES, spec_from_relations
+from repro.core.gpu_partitioned import OUT_TUPLE_BYTES
 from repro.core.results import JoinRunResult
 from repro.core.strategy import (
     GPU_NONPARTITIONED,
@@ -18,7 +18,7 @@ from repro.core.strategy import (
     register_strategy,
 )
 from repro.data import stats as stats_mod
-from repro.data.relation import Relation
+from repro.data.relation import Relation, spec_from_relations
 from repro.data.spec import JoinSpec
 from repro.errors import DeviceMemoryOverflowError, InvalidConfigError
 from repro.gpusim.calibration import Calibration

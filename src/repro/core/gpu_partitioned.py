@@ -30,8 +30,8 @@ from repro.core.strategy import (
     register_strategy,
 )
 from repro.data import stats as stats_mod
-from repro.data.relation import Relation
-from repro.data.spec import Distribution, JoinSpec
+from repro.data.relation import Relation, spec_from_relations
+from repro.data.spec import JoinSpec
 from repro.errors import DeviceMemoryOverflowError
 from repro.gpusim.calibration import Calibration
 from repro.gpusim.cost import CoPartitionStats, GpuCostModel, KernelCost
@@ -350,34 +350,3 @@ class GpuPartitionedJoin(PipelinedJoinStrategy):
             metrics=metrics,
             aggregate=aggregate_pairs(result.build_payloads, result.probe_payloads),
         )
-
-
-def spec_from_relations(build: Relation, probe: Relation) -> JoinSpec:
-    """Describe materialized relations for the shared cost helpers."""
-    from repro.data.spec import RelationSpec
-
-    def describe(rel: Relation) -> "RelationSpec":
-        distinct = rel.distinct_keys()
-        if rel.num_tuples == 0:
-            # Degenerate empty input: describe as a single-tuple domain so
-            # spec validation holds; costs scale by actual counts anyway.
-            return RelationSpec(
-                n=1,
-                payload_bytes=rel.payload_bytes,
-                late_payload_bytes=rel.late_payload_bytes,
-            )
-        if distinct == rel.num_tuples:
-            return RelationSpec(
-                n=rel.num_tuples,
-                payload_bytes=rel.payload_bytes,
-                late_payload_bytes=rel.late_payload_bytes,
-            )
-        return RelationSpec(
-            n=rel.num_tuples,
-            distinct=distinct,
-            distribution=Distribution.UNIFORM,
-            payload_bytes=rel.payload_bytes,
-            late_payload_bytes=rel.late_payload_bytes,
-        )
-
-    return JoinSpec(build=describe(build), probe=describe(probe))

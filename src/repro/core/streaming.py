@@ -17,11 +17,7 @@ import math
 import numpy as np
 
 from repro.core.config import GpuJoinConfig, default_config
-from repro.core.gpu_partitioned import (
-    OUT_TUPLE_BYTES,
-    GpuPartitionedJoin,
-    spec_from_relations,
-)
+from repro.core.gpu_partitioned import OUT_TUPLE_BYTES, GpuPartitionedJoin
 from repro.core.results import JoinRunResult
 from repro.core.strategy import (
     STREAMING,
@@ -30,7 +26,7 @@ from repro.core.strategy import (
     register_strategy,
 )
 from repro.data import stats as stats_mod
-from repro.data.relation import Relation
+from repro.data.relation import Relation, spec_from_relations
 from repro.data.spec import JoinSpec
 from repro.errors import DeviceMemoryOverflowError
 from repro.gpusim.calibration import Calibration

@@ -13,9 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.cpu.pro import CpuJoinMetrics, _spec_from_relations
+from repro.cpu.pro import CpuJoinMetrics
 from repro.data import stats as stats_mod
-from repro.data.relation import Relation
+from repro.data.relation import Relation, spec_from_relations
 from repro.data.spec import JoinSpec
 from repro.errors import InvalidConfigError
 from repro.gpusim import atomics
@@ -117,5 +117,5 @@ class NpoJoin:
             out = out[np.lexsort((out[:, 1], out[:, 0]))]
         else:
             out = np.empty((0, 2), dtype=np.int64)
-        spec = _spec_from_relations(build, probe)
+        spec = spec_from_relations(build, probe)
         return out, self.estimate(spec, threads=threads)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.cpu.radix_partition import CpuPartitionModel, cpu_radix_partition
-from repro.data.relation import Relation
+from repro.data.relation import Relation, spec_from_relations
 from repro.data.spec import JoinSpec
 from repro.data import stats as stats_mod
 from repro.errors import InvalidConfigError
@@ -151,28 +151,5 @@ class ProJoin:
         else:
             out = np.empty((0, 2), dtype=np.int64)
 
-        spec = _spec_from_relations(build, probe)
+        spec = spec_from_relations(build, probe)
         return out, self.estimate(spec, threads=threads)
-
-
-def _spec_from_relations(build: Relation, probe: Relation) -> JoinSpec:
-    """Describe materialized relations well enough for the cost model."""
-    from repro.data.spec import Distribution, RelationSpec
-
-    def describe(rel: Relation) -> RelationSpec:
-        distinct = rel.distinct_keys()
-        if distinct == rel.num_tuples:
-            return RelationSpec(
-                n=rel.num_tuples,
-                payload_bytes=rel.payload_bytes,
-                late_payload_bytes=rel.late_payload_bytes,
-            )
-        return RelationSpec(
-            n=rel.num_tuples,
-            distinct=distinct,
-            distribution=Distribution.UNIFORM,
-            payload_bytes=rel.payload_bytes,
-            late_payload_bytes=rel.late_payload_bytes,
-        )
-
-    return JoinSpec(build=describe(build), probe=describe(probe))

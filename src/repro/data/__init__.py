@@ -7,7 +7,12 @@ from repro.data.generator import (
     naive_join_count,
     naive_join_pairs,
 )
-from repro.data.relation import DEFAULT_PAYLOAD_BYTES, KEY_BYTES, Relation
+from repro.data.relation import (
+    DEFAULT_PAYLOAD_BYTES,
+    KEY_BYTES,
+    Relation,
+    spec_from_relations,
+)
 from repro.data.spec import (
     Distribution,
     JoinSpec,
@@ -30,6 +35,7 @@ __all__ = [
     "naive_join_count",
     "naive_join_pairs",
     "replicated_pair",
+    "spec_from_relations",
     "unique_pair",
     "zipf_pair",
 ]

@@ -18,10 +18,14 @@ computations match the paper) and carry two extra pieces of metadata:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.errors import InvalidRelationError
+
+if TYPE_CHECKING:  # pragma: no cover - spec.py imports this module
+    from repro.data.spec import JoinSpec
 
 #: Modelled width of a join key in bytes (the paper uses 4-byte keys).
 KEY_BYTES = 4
@@ -143,8 +147,12 @@ class Relation:
         )
 
     def distinct_keys(self) -> int:
-        """Number of distinct join keys (exact, computed from the data)."""
-        return int(np.unique(self.key).shape[0])
+        """Number of distinct join keys (exact, computed from the data):
+        sort, then count the changes between neighbours."""
+        if not self.num_tuples:
+            return 0
+        keys = np.sort(self.key)
+        return 1 + int(np.count_nonzero(keys[1:] != keys[:-1]))
 
     def describe(self) -> str:
         """One-line summary used by examples and the bench harness."""
@@ -153,3 +161,34 @@ class Relation:
             f"{self.tuple_bytes} B (+{self.late_payload_bytes} B late) = "
             f"{self.nbytes / 1e6:.1f} MB"
         )
+
+
+def spec_from_relations(build: Relation, probe: Relation) -> JoinSpec:
+    """Describe materialized relations for the shared cost helpers."""
+    from repro.data.spec import Distribution, JoinSpec, RelationSpec
+
+    def describe(rel: Relation) -> RelationSpec:
+        distinct = rel.distinct_keys()
+        if rel.num_tuples == 0:
+            # Degenerate empty input: describe as a single-tuple domain so
+            # spec validation holds; costs scale by actual counts anyway.
+            return RelationSpec(
+                n=1,
+                payload_bytes=rel.payload_bytes,
+                late_payload_bytes=rel.late_payload_bytes,
+            )
+        if distinct == rel.num_tuples:
+            return RelationSpec(
+                n=rel.num_tuples,
+                payload_bytes=rel.payload_bytes,
+                late_payload_bytes=rel.late_payload_bytes,
+            )
+        return RelationSpec(
+            n=rel.num_tuples,
+            distinct=distinct,
+            distribution=Distribution.UNIFORM,
+            payload_bytes=rel.payload_bytes,
+            late_payload_bytes=rel.late_payload_bytes,
+        )
+
+    return JoinSpec(build=describe(build), probe=describe(probe))

@@ -10,10 +10,11 @@ of its slot's linked list with a single ``atomicExchange``:
     entry.next <- old
 
 :func:`chain_insert_reference` executes exactly that loop; it is the
-ground truth.  :func:`chain_insert` computes the identical final data
+ground truth.  :func:`group_slots` computes the identical final data
 structure with vectorized numpy (later inserts become chain heads, each
-entry links to the previous head of its slot), which the property tests
-assert against the reference.
+entry links to the previous head of its slot) for the occupied slots
+only; :func:`chain_insert` scatters it into a dense slot array.  The
+property tests assert both against the reference.
 """
 
 from __future__ import annotations
@@ -93,33 +94,47 @@ def chain_insert_reference(slots: np.ndarray, nslots: int) -> HashTable:
     return HashTable(heads=heads, next=next_)
 
 
-def chain_insert(slots: np.ndarray, nslots: int) -> HashTable:
-    """Vectorized equivalent of :func:`chain_insert_reference`.
+def group_slots(
+    slots: np.ndarray, nslots: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The table :func:`chain_insert_reference` builds, kept sparse.
 
-    For each slot, the head is the *last* inserted entry and every entry
-    links to its predecessor within the slot (stable grouping preserves
-    insertion order inside each group).
+    Returns ``(occupied, heads, next)``: the occupied slots in ascending
+    order, each one's head entry (its *last* inserted entry), and every
+    entry's link to its predecessor within the slot.  Host memory is
+    O(entries), whatever ``nslots`` is.  Slot ids sort as the narrowest
+    unsigned type that holds ``nslots - 1``; a stable sort yields the same
+    permutation at any integer width, and stability keeps insertion
+    order inside each group.
     """
     slots = np.asarray(slots, dtype=np.int64)
     n = slots.shape[0]
     if n and (slots.min() < 0 or slots.max() >= nslots):
         raise InvalidConfigError("slot index out of range")
-    heads = np.full(nslots, NIL, dtype=np.int64)
     next_ = np.full(n, NIL, dtype=np.int64)
     if n == 0:
-        return HashTable(heads=heads, next=next_)
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64), next_
 
-    order = np.argsort(slots, kind="stable")
+    order = np.argsort(
+        slots.astype(np.min_scalar_type(nslots - 1)), kind="stable"
+    )
     grouped = slots[order]
-    same_as_prev = np.zeros(n, dtype=bool)
-    same_as_prev[1:] = grouped[1:] == grouped[:-1]
+    same_as_prev = grouped[1:] == grouped[:-1]
 
     # Entry order[k] follows order[k-1] within its slot group.
-    followers = np.nonzero(same_as_prev)[0]
+    followers = np.nonzero(same_as_prev)[0] + 1
     next_[order[followers]] = order[followers - 1]
 
     # Heads are the last member of each group.
     last_of_group = np.ones(n, dtype=bool)
-    last_of_group[:-1] = grouped[1:] != grouped[:-1]
-    heads[grouped[last_of_group]] = order[last_of_group]
+    last_of_group[:-1] = ~same_as_prev
+    return grouped[last_of_group], order[last_of_group], next_
+
+
+def chain_insert(slots: np.ndarray, nslots: int) -> HashTable:
+    """Vectorized equivalent of :func:`chain_insert_reference`: the
+    :func:`group_slots` heads scattered into a dense slot array."""
+    occupied, group_heads, next_ = group_slots(slots, nslots)
+    heads = np.full(nslots, NIL, dtype=np.int64)
+    heads[occupied] = group_heads
     return HashTable(heads=heads, next=next_)

@@ -2,9 +2,12 @@
 
 Each co-partition's build side becomes a hash table in (simulated) shared
 memory: a slot-head array plus 16-bit next-offsets, populated wait-free
-with ``atomicExchange`` (Listing 2).  All per-partition tables are stored
-in one flat array pair indexed by ``partition * nslots + slot``, which is
-the vectorized equivalent of building the tables independently per block.
+with ``atomicExchange`` (Listing 2).  All per-partition tables share one
+global slot space, ``partition * nslots + slot``, which is the vectorized
+equivalent of building the tables independently per block.  The device
+holds ``nslots`` heads per block at a time; the host keeps only the
+occupied global slots, so its memory grows with the build tuples rather
+than with ``fanout * nslots``.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ import numpy as np
 
 from repro.errors import InvalidConfigError, SharedMemoryOverflowError
 from repro.gpusim import atomics
+from repro.gpusim.atomics import NIL
 from repro.gpusim.cost import GpuCostModel, KernelCost
 from repro.kernels.buckets import PartitionedRelation
 from repro.kernels.common import ht_slot, is_power_of_two
@@ -28,15 +32,17 @@ MAX_OFFSET_16BIT = 1 << 16
 class CoPartitionHashTables:
     """Hash tables over every build-side co-partition.
 
-    ``heads`` has ``fanout * nslots`` entries holding *global* row
-    indices into the partitioned build relation (or ``NIL``); ``next``
-    links rows within a partition.  ``next`` offsets stay within one
-    partition, so on the real device they fit in 16 bits relative to the
-    partition base — validated at construction.
+    ``slots`` lists the occupied global slots in ascending order and
+    ``heads`` holds each one's head: a *global* row index into the
+    partitioned build relation.  Every other slot is empty (``NIL``).
+    ``next`` links rows within a partition.  ``next`` offsets stay within
+    one partition, so on the real device they fit in 16 bits relative to
+    the partition base — validated at construction.
     """
 
     build: PartitionedRelation
     nslots: int
+    slots: np.ndarray
     heads: np.ndarray
     next: np.ndarray
     fallback_partitions: np.ndarray
@@ -48,6 +54,14 @@ class CoPartitionHashTables:
     def global_slot(self, partition_ids: np.ndarray, keys: np.ndarray) -> np.ndarray:
         local = ht_slot(keys, self.nslots, radix_bits=self.build.radix_bits)
         return partition_ids * self.nslots + local
+
+    def lookup(self, global_slots: np.ndarray) -> np.ndarray:
+        """Head row of each global slot, ``NIL`` where the slot is empty."""
+        if not self.slots.size:
+            return np.full(global_slots.shape[0], NIL, dtype=np.int64)
+        index = np.searchsorted(self.slots, global_slots)
+        np.minimum(index, self.slots.shape[0] - 1, out=index)
+        return np.where(self.slots[index] == global_slots, self.heads[index], NIL)
 
 
 def build_copartition_tables(
@@ -81,13 +95,14 @@ def build_copartition_tables(
     partition_ids = np.repeat(np.arange(build.fanout, dtype=np.int64), sizes)
     local_slots = ht_slot(build.keys, nslots, radix_bits=build.radix_bits)
     global_slots = partition_ids * nslots + local_slots
-    table = atomics.chain_insert(global_slots, build.fanout * nslots)
+    slots, heads, next_ = atomics.group_slots(global_slots, build.fanout * nslots)
 
     tables = CoPartitionHashTables(
         build=build,
         nslots=nslots,
-        heads=table.heads,
-        next=table.next,
+        slots=slots,
+        heads=heads,
+        next=next_,
         fallback_partitions=np.nonzero(sizes > elements_per_block)[0],
     )
     # Build cost is part of the fused co-partition join kernel; the join

@@ -66,7 +66,7 @@ def probe_copartitions(
 
     probe_sizes = probe.partition_sizes()
     partition_ids = np.repeat(np.arange(probe.fanout, dtype=np.int64), probe_sizes)
-    cursors = tables.heads[tables.global_slot(partition_ids, probe.keys)]
+    cursors = tables.lookup(tables.global_slot(partition_ids, probe.keys))
 
     build_hits: list[np.ndarray] = []
     probe_hits: list[np.ndarray] = []

@@ -55,11 +55,14 @@ def _combined_partition(
     Pass *i* partitions on bit range ``[sum(bits[:i]), sum(bits[:i+1]))``;
     the hierarchy of stable passes is equivalent (verified by tests
     against :func:`partition_pass_arrays`) to a single stable sort on the
-    partition id ``key & (fanout - 1)``.
+    partition id ``key & (fanout - 1)``.  The ids sort as the narrowest
+    unsigned type that holds them: a stable sort gives the same
+    permutation at any integer width, and NumPy radix-sorts 8- and
+    16-bit keys.
     """
     total_bits = int(sum(bits_per_pass))
     fanout = 1 << total_bits
-    pid = keys & (fanout - 1)
+    pid = (keys & (fanout - 1)).astype(np.min_scalar_type(fanout - 1))
     order = np.argsort(pid, kind="stable")
     histogram = np.bincount(pid, minlength=fanout)
     offsets = np.zeros(fanout + 1, dtype=np.int64)

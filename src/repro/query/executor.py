@@ -14,9 +14,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core.config import GpuJoinConfig
-from repro.core.gpu_partitioned import spec_from_relations
 from repro.core.planner import choose_strategy_name
 from repro.core.strategy import create_strategy
+from repro.data.relation import spec_from_relations
 from repro.errors import InvalidConfigError
 from repro.gpusim.spec import SystemSpec
 from repro.query.plan import (

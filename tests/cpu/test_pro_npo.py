@@ -12,6 +12,7 @@ from repro.data import (
     naive_join_pairs,
     unique_pair,
 )
+from repro.data.relation import Relation
 
 
 def test_pro_functional_matches_oracle():
@@ -82,3 +83,16 @@ def test_pro_beats_npo_at_scale():
 def test_npo_beats_pro_on_small_cached_tables():
     spec = unique_pair(1_000_000)
     assert NpoJoin().estimate(spec).throughput > ProJoin().estimate(spec).throughput
+
+
+@pytest.mark.parametrize("join", [ProJoin, NpoJoin], ids=["pro", "npo"])
+@pytest.mark.parametrize("empty_side", ["build", "probe"])
+def test_empty_side_joins_to_nothing(join, empty_side):
+    """A filter that wipes out either side must not fail the baseline:
+    the cost model still gets a valid (single-tuple) spec."""
+    empty = Relation.from_keys(np.empty(0, dtype=np.int64))
+    other = Relation.from_keys(np.arange(64, dtype=np.int64))
+    build, probe = (empty, other) if empty_side == "build" else (other, empty)
+    pairs, metrics = join().run(build, probe)
+    assert pairs.shape == (0, 2)
+    assert metrics.seconds > 0

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.data.relation import KEY_BYTES, Relation
 from repro.errors import InvalidRelationError
@@ -54,6 +56,41 @@ def test_slice_is_view_and_half_open():
 def test_distinct_keys():
     rel = Relation.from_keys(np.array([1, 1, 2, 3, 3, 3]))
     assert rel.distinct_keys() == 3
+
+
+INT64 = np.iinfo(np.int64)
+
+
+@pytest.mark.parametrize(
+    "keys",
+    [
+        [],
+        [7],
+        [4] * 50,
+        [-3, -3, -1, 0, 2, -1],
+        [INT64.min, INT64.max, INT64.min, 0, -1, INT64.max],
+    ],
+    ids=["empty", "single", "all-duplicate", "negative", "int64-extremes"],
+)
+def test_distinct_keys_edge_cases(keys):
+    keys = np.asarray(keys, dtype=np.int64)
+    assert Relation.from_keys(keys).distinct_keys() == np.unique(keys).size
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    keys=st.lists(
+        st.one_of(
+            st.integers(min_value=-8, max_value=8),
+            st.integers(min_value=INT64.min, max_value=INT64.max),
+            st.sampled_from([INT64.min, INT64.max]),
+        ),
+        max_size=200,
+    )
+)
+def test_distinct_keys_equals_unique(keys):
+    keys = np.asarray(keys, dtype=np.int64)
+    assert Relation.from_keys(keys).distinct_keys() == np.unique(keys).size
 
 
 def test_len_and_describe():

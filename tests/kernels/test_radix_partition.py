@@ -11,6 +11,7 @@ from repro.gpusim.cost import GpuCostModel
 from repro.kernels.radix_partition import (
     BUCKET_AT_A_TIME,
     PARTITION_AT_A_TIME,
+    _combined_partition,
     bucket_skew_imbalance,
     derive_bits_per_pass,
     estimate_partition_cost,
@@ -74,6 +75,36 @@ def test_multipass_equals_sequence_of_single_passes(keys, bits):
         shift += b
     assert np.array_equal(part.keys, cur_keys)
     assert np.array_equal(part.payloads, cur_payloads)
+
+
+@pytest.mark.parametrize(
+    "bits", [[16], [8, 8], [17], [9, 8]], ids=["16", "8+8", "17", "9+8"]
+)
+def test_combined_partition_at_sort_dtype_boundaries(bits):
+    """Partition ids sort as uint16 up to 16 bits and as uint32 above;
+    either way the permutation equals the pass-by-pass partitioning, with
+    key bits set above the partition bits and negative keys."""
+    rng = np.random.default_rng(sum(bits) * 31 + len(bits))
+    keys = np.concatenate(
+        [
+            rng.integers(-(1 << 40), 1 << 40, size=3000),
+            rng.integers(0, 1 << 17, size=2000) | (1 << 35),
+            np.array([-1, -(1 << 16), -(1 << 17), np.iinfo(np.int64).min]),
+        ]
+    )
+    payloads = np.arange(keys.shape[0], dtype=np.int64)
+    got_keys, got_payloads, offsets = _combined_partition(keys, payloads, bits)
+
+    cur_keys, cur_payloads, shift = keys, payloads, 0
+    for b in bits:
+        cur_keys, cur_payloads, _ = partition_pass_arrays(cur_keys, cur_payloads, b, shift)
+        shift += b
+    assert np.array_equal(got_keys, cur_keys)
+    assert np.array_equal(got_payloads, cur_payloads)
+    fanout = 1 << sum(bits)
+    assert np.array_equal(
+        np.diff(offsets), np.bincount(keys & (fanout - 1), minlength=fanout)
+    )
 
 
 def test_partition_at_a_time_pays_for_skew():
