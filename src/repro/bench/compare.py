@@ -78,7 +78,10 @@ def compare(
 
     Returns every (figure, series, x) whose value moved by more than
     ``tolerance`` relatively — including points that flipped between
-    "runs" and "fails".
+    "runs" and "fails" — and every point present on one side only: a
+    figure, series or x the snapshot lacks is reported with reference
+    ``None``, one the fresh run lacks with measured ``None``.  Stored
+    figures outside ``figures`` are not re-run.
     """
     reference = json.loads(Path(path).read_text())
     if reference.get("version") != SNAPSHOT_VERSION:
@@ -89,21 +92,25 @@ def compare(
     figures = figures or ALL_FIGURES
 
     deviations: list[Deviation] = []
-    for name, stored in reference["figures"].items():
-        if name not in figures:
-            continue
-        fresh = figure_to_dict(figures[name](scale=scale))
-        for label, stored_points in stored.items():
-            fresh_points = dict(
-                (x, y) for x, y in fresh.get(label, [])
-            )
-            for x, ref_y in stored_points:
+    for name, run in figures.items():
+        stored = reference["figures"].get(name, {})
+        fresh = figure_to_dict(run(scale=scale))
+        for label in _union(stored, fresh):
+            stored_points = dict(stored.get(label, []))
+            fresh_points = dict(fresh.get(label, []))
+            for x in _union(stored_points, fresh_points):
+                ref_y = stored_points.get(x)
                 new_y = fresh_points.get(x)
-                if ref_y is None or new_y is None:
+                if x not in stored_points or x not in fresh_points:
+                    deviations.append(Deviation(name, label, x, ref_y, new_y))
+                elif ref_y is None or new_y is None:
                     if ref_y != new_y:
                         deviations.append(Deviation(name, label, x, ref_y, new_y))
-                    continue
-                denominator = max(abs(ref_y), 1e-12)
-                if abs(new_y - ref_y) / denominator > tolerance:
+                elif abs(new_y - ref_y) / max(abs(ref_y), 1e-12) > tolerance:
                     deviations.append(Deviation(name, label, x, ref_y, new_y))
     return deviations
+
+
+def _union(stored: dict, fresh: dict) -> list:
+    """The keys of ``stored``, then those only ``fresh`` has, in order."""
+    return [*stored, *(key for key in fresh if key not in stored)]

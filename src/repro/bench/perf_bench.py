@@ -270,8 +270,10 @@ def perf_main(argv: list[str] | None = None) -> int:
         f"{stats.hits}/{stats.misses}/{stats.evictions}, plan "
         f"{stats.plan_hits}/{stats.plan_misses}/{stats.plan_evictions}, "
         f"ladder {stats.ladder_hits}/{stats.ladder_misses}/"
-        f"{stats.ladder_evictions} "
-        f"(LRU cap {stats.max_entries} entries per cache)"
+        f"{stats.ladder_evictions}, facts "
+        f"{stats.facts_hits}/{stats.facts_misses}/{stats.facts_evictions} "
+        f"({stats.facts_entries} facts entries; "
+        f"LRU cap {stats.max_entries} entries per cache)"
     )
     if args.out != "-":
         write_json(entries, args.out)

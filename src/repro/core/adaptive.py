@@ -103,30 +103,21 @@ class AdaptiveCoProcessingJoin(CoProcessingJoin):
         materialize: bool = False,
         staging_threads: int | None = None,
     ) -> JoinPlan:
-        if threads is None or staging_threads is None:
-            from repro.data import stats as stats_mod
-
-            cpu_sizes = stats_mod.expected_partition_sizes(spec.build, self.cpu_bits)
-            plan = self.plan(
-                cpu_sizes,
-                spec.build.tuple_bytes,
-                spec.probe.n,
-                chunk_tuples=chunk_tuples,
+        facts = self.kernel_facts(spec, chunk_tuples)
+        if threads is None:
+            threads = recommend_partition_threads(
+                self.system,
+                max(facts.plan.first_ws_fraction, 1e-9),
+                calibration=self.cost_model.calib,
             )
-            if threads is None:
-                threads = recommend_partition_threads(
-                    self.system,
-                    max(plan.first_ws_fraction, 1e-9),
-                    calibration=self.cost_model.calib,
-                )
-            if staging_threads is None:
-                staging_threads = recommend_staging_threads(
-                    self.system, calibration=self.cost_model.calib
-                )
-        graph = super().prepare(
+        if staging_threads is None:
+            staging_threads = recommend_staging_threads(
+                self.system, calibration=self.cost_model.calib
+            )
+        graph = self._analytic_plan(
             spec,
+            facts,
             threads=threads,
-            chunk_tuples=chunk_tuples,
             materialize=materialize,
             staging_threads=staging_threads,
         )

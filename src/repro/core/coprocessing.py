@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.core import estimate_cache
 from repro.core.config import GpuJoinConfig, default_config
 from repro.core.gpu_partitioned import OUT_TUPLE_BYTES, GpuPartitionedJoin
 from repro.core.results import JoinRunResult
@@ -80,6 +81,46 @@ class CoProcessingPlan:
     @property
     def first_ws_fraction(self) -> float:
         return self.build_fractions[0] if self.build_fractions else 0.0
+
+
+@dataclass(frozen=True)
+class CoProcessingFacts:
+    """The analytic pipeline's kernel facts: everything ``prepare``
+    derives from the spec alone, independent of ``threads``,
+    ``staging_threads`` and ``materialize``.
+
+    Memoized in :func:`repro.core.estimate_cache.cached_facts` and
+    shared read-only.  Only scalars and the (host-fanout sized) plan are
+    kept — holding the per-partition evaluators instead would keep
+    ``2^final_bits``-sized arrays alive per entry.
+    """
+
+    plan: CoProcessingPlan
+    #: Expected join cardinality.
+    matches: float
+    #: GPU partition + table build seconds of each working set.
+    prep_seconds: tuple[float, ...]
+    #: ``(working set, chunk tuples)`` -> (probe partition seconds,
+    #: join seconds without materialization, materialization seconds).
+    join_seconds: dict[tuple[int, int], tuple[float, float, float]]
+
+
+def working_set_sizes(final_sizes: np.ndarray, weight: np.ndarray) -> np.ndarray:
+    """Sizes of the final co-partitions resident in one working set.
+
+    Final partition ``i`` belongs to host partition ``i & (F - 1)``
+    (``F = weight.size``), i.e. to column ``i % F`` of ``final_sizes``
+    viewed as ``(-1, F)``.  Keeping the columns of host partitions with
+    non-zero ``weight`` (scaled by it) and flattening row-major yields
+    the live partitions in ascending order, in O(fanout) for all
+    working sets together.
+    """
+    live = np.flatnonzero(weight > 0)
+    # ``take`` (unlike ``[:, live]``) returns a C-ordered copy, so the
+    # in-place scaling and the final ``ravel`` copy nothing more.
+    columns = np.take(final_sizes.reshape(-1, weight.shape[0]), live, axis=1)
+    columns *= weight[live]
+    return columns.ravel()
 
 
 @register_strategy
@@ -342,15 +383,31 @@ class CoProcessingJoin(PipelinedJoinStrategy):
     # ------------------------------------------------------------------
     # Analytic path
     # ------------------------------------------------------------------
-    def prepare(
-        self,
-        spec: JoinSpec,
-        *,
-        threads: int = DEFAULT_THREADS,
-        chunk_tuples: int | None = None,
-        materialize: bool = False,
-        staging_threads: int | None = None,
-    ) -> JoinPlan:
+    def kernel_facts(
+        self, spec: JoinSpec, chunk_tuples: int | None = None
+    ) -> CoProcessingFacts:
+        """The memoized spec-only facts of :meth:`prepare`.
+
+        The key leaves out the class and ``staging``, which the facts
+        do not depend on, so plain and adaptive co-processing share
+        entries."""
+        key = (
+            "coprocessing_facts",
+            self.system,
+            self.config,
+            self.cost_model.calib,
+            self.cpu_bits,
+            self.device_budget,
+            spec,
+            chunk_tuples,
+        )
+        return estimate_cache.cached_facts(
+            key, lambda: self._compute_kernel_facts(spec, chunk_tuples)
+        )
+
+    def _compute_kernel_facts(
+        self, spec: JoinSpec, chunk_tuples: int | None
+    ) -> CoProcessingFacts:
         cfg = self.config
         cpu_sizes = stats_mod.expected_partition_sizes(spec.build, self.cpu_bits)
         plan = self.plan(
@@ -368,83 +425,102 @@ class CoProcessingJoin(PipelinedJoinStrategy):
         probe_final = stats_mod.expected_partition_sizes(spec.probe, final_bits)
         matches = stats_mod.expected_join_cardinality(spec)
         key_bits = key_bit_width(max(spec.build.distinct, spec.probe.distinct) - 1)
-        cpu_fanout = 1 << self.cpu_bits
 
-        final_to_cpu = np.arange(build_final.shape[0], dtype=np.int64) & (
-            cpu_fanout - 1
-        )
-
-        def ws_factor(w: int) -> np.ndarray:
-            # Fraction of each final co-partition resident in working set
-            # w (fractional when an oversized host partition was split).
-            return plan.ws_weights[w][final_to_cpu]
-
-        def ws_prep_seconds(w: int) -> float:
+        # Chunks are full except possibly the last, so a working set's
+        # join is priced at most twice, whatever the chunk count.
+        ends = {0, plan.n_chunks - 1} if plan.n_chunks else set()
+        chunk_sizes = {
+            min(plan.chunk_tuples, spec.probe.n - c * plan.chunk_tuples) for c in ends
+        }
+        prep_seconds: list[float] = []
+        join_seconds: dict[tuple[int, int], tuple[float, float, float]] = {}
+        for w, ws in enumerate(plan.working_sets):
             # Partition the working set on the GPU, then build its
             # co-partition tables once; all chunks probe them.
-            elements = plan.working_sets[w].total_elements
-            return (
+            elements = ws.total_elements
+            prep_seconds.append(
                 estimate_partition_cost(
                     elements, spec.build.tuple_bytes, gpu_bits, self.cost_model
                 ).seconds
                 + self.cost_model.build_tables_seconds(elements, spec.build.tuple_bytes)
             )
-
-        # Per-working-set fast path: the build side (and thus every
-        # build-derived invariant of the join formula) is fixed per
-        # working set, and a chunk only scales the probe side by its
-        # fraction of the probe relation — which takes at most two
-        # distinct values.  Build one scaled evaluator per working set
-        # and memoize per chunk size, collapsing the ~n_ws * n_chunks
-        # kernel-formula evaluations of the inner loop to ~2 per
-        # working set.
-        evaluators: dict[int, tuple] = {}
-        join_memo: dict[tuple[int, int], float] = {}
-
-        def ws_evaluator(w: int) -> tuple:
-            cached = evaluators.get(w)
-            if cached is None:
-                factor = ws_factor(w)
-                live = factor > 0
-                b = (build_final * factor)[live]
-                s = (probe_final * factor)[live]
-                evaluator = self._resident._join_cost_evaluator(
-                    b,
-                    s,
-                    matches * plan.build_fractions[w],
-                    tuple_bytes=spec.build.tuple_bytes,
-                    radix_bits=final_bits,
-                    key_bits=key_bits,
-                    materialize=materialize,
-                    charge_build=False,
-                )
-                cached = (evaluator, float(s.sum()))
-                evaluators[w] = cached
-            return cached
-
-        def ws_join_seconds(w: int, c: int) -> float:
-            this_chunk = min(plan.chunk_tuples, spec.probe.n - c * plan.chunk_tuples)
-            cached = join_memo.get((w, this_chunk))
-            if cached is None:
+            if not chunk_sizes:
+                continue
+            # The build side (and every build-derived invariant of the
+            # join formula) is fixed per working set; a chunk only
+            # scales the probe side by its fraction of the relation.
+            weight = plan.ws_weights[w]
+            probe_sizes = working_set_sizes(probe_final, weight)
+            evaluator = self._resident._join_cost_evaluator(
+                working_set_sizes(build_final, weight),
+                probe_sizes,
+                matches * plan.build_fractions[w],
+                tuple_bytes=spec.build.tuple_bytes,
+                radix_bits=final_bits,
+                key_bits=key_bits,
+                materialize=False,
+                charge_build=False,
+            )
+            probe_total = float(probe_sizes.sum())
+            for this_chunk in chunk_sizes:
                 chunk_frac = this_chunk / spec.probe.n
-                evaluator, probe_total = ws_evaluator(w)
                 partition = estimate_partition_cost(
                     probe_total * chunk_frac,
                     spec.probe.tuple_bytes,
                     gpu_bits,
                     self.cost_model,
                 )
-                cached = partition.seconds + evaluator.seconds(chunk_frac)
-                join_memo[(w, this_chunk)] = cached
-            return cached
+                join_seconds[(w, this_chunk)] = (
+                    partition.seconds,
+                    evaluator.seconds(chunk_frac),
+                    evaluator.materialize_seconds(chunk_frac),
+                )
+        return CoProcessingFacts(plan, matches, tuple(prep_seconds), join_seconds)
+
+    def prepare(
+        self,
+        spec: JoinSpec,
+        *,
+        threads: int = DEFAULT_THREADS,
+        chunk_tuples: int | None = None,
+        materialize: bool = False,
+        staging_threads: int | None = None,
+    ) -> JoinPlan:
+        return self._analytic_plan(
+            spec,
+            self.kernel_facts(spec, chunk_tuples),
+            threads=threads,
+            materialize=materialize,
+            staging_threads=staging_threads,
+        )
+
+    def _analytic_plan(
+        self,
+        spec: JoinSpec,
+        facts: CoProcessingFacts,
+        *,
+        threads: int,
+        materialize: bool,
+        staging_threads: int | None,
+    ) -> JoinPlan:
+        """Assemble the pipeline from memoized facts (cheap: no kernel
+        formula runs here)."""
+        plan = facts.plan
+
+        def ws_join_seconds(w: int, c: int) -> float:
+            this_chunk = min(plan.chunk_tuples, spec.probe.n - c * plan.chunk_tuples)
+            partition, join, mat = facts.join_seconds[(w, this_chunk)]
+            # ``join + mat`` is the float sequence the materializing
+            # evaluator computes, so both modes match a cold evaluation.
+            return partition + (join + mat) if materialize else partition + join
 
         return self._pipeline_plan(
             spec,
             plan,
             threads=threads,
-            matches=matches,
+            matches=facts.matches,
             ws_join_seconds=ws_join_seconds,
-            ws_prep_seconds=ws_prep_seconds,
+            ws_prep_seconds=facts.prep_seconds.__getitem__,
             materialize=materialize,
             staging_threads=staging_threads,
         )

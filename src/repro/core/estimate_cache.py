@@ -33,25 +33,42 @@ This module provides one shared cache:
   Cached plans are **shared, read-only** objects: callers must not
   mutate ``plan.tasks`` / ``plan.resources`` (the serving scheduler
   only reads them, re-materializing namespaced copies of the tasks);
+* :func:`cached_facts` — memoizes co-processing's spec-only kernel
+  facts (:class:`~repro.core.coprocessing.CoProcessingFacts`: the
+  working-set plan, the expected cardinality, each working set's prep
+  seconds, and per (working set, chunk size) the probe-partition, join
+  and materialization seconds).  The key is (system, config,
+  calibration, ``cpu_bits``, ``device_budget``, spec,
+  ``chunk_tuples``): it omits ``threads``, ``materialize``, the class
+  and ``staging``, none of which the facts depend on, so a figure's
+  thread sweep, both output modes, and plain and adaptive
+  co-processing price each working set once.  Entries hold scalars
+  only: keeping the per-working-set evaluators (arrays over up to 2^19
+  partitions) alive raised the ``paper`` benchmark's peak RSS from
+  181 MB to 1353 MB, scalars keep it at 181 MB.  Facts are never
+  persisted to an attached store;
 * :func:`clear` / :func:`stats` / :func:`configure` — test and
-  benchmark hooks.
+  benchmark hooks.  :func:`clear` drops all four caches, so a cleared
+  process (``bench perf``) measures cold estimates.
 
-All three caches are **LRU-bounded** (:func:`configure`'s
+All four caches are **LRU-bounded** (:func:`configure`'s
 ``max_entries``, default :data:`DEFAULT_MAX_ENTRIES` — generous; far
 above any benchmark's working set).  A steady-state serving process
 admitting an unbounded stream of *distinct* queries therefore holds at
-most ``3 * max_entries`` cached objects instead of growing without
+most ``4 * max_entries`` cached objects instead of growing without
 limit; a lookup refreshes an entry's recency, and evictions are
 counted per cache (``stats().evictions`` / ``plan_evictions`` /
-``ladder_evictions``) so a thrashing cache shows up in the
-``bench perf`` accounting instead of hiding as slow estimates.
-Eviction never affects results — an evicted entry is simply recomputed
-on its next use.  All three insertion sites evict *before* inserting
-when ``len(cache) >= max_entries`` — the ``>=`` (not ``>``) comparison
-is what guarantees no cache ever holds ``max_entries + 1`` entries;
-``tests/core/test_estimate_cache.py`` pins the bound for each cache.
+``ladder_evictions`` / ``facts_evictions``) so a thrashing cache shows
+up in the ``bench perf`` accounting instead of hiding as slow
+estimates.  Eviction never affects results — an evicted entry is
+simply recomputed on its next use.  Every insertion evicts *before*
+inserting when ``len(cache) >= max_entries`` — the ``>=`` (not ``>``)
+comparison is what guarantees no cache ever holds ``max_entries + 1``
+entries; ``tests/core/test_estimate_cache.py`` pins the bound for each
+cache.
 
-The caches can optionally be **persisted across processes** through a
+The estimate, ladder and plan caches can optionally be **persisted
+across processes** through a
 :class:`repro.core.sample_store.SampleStore` (:func:`attach_store`):
 misses consult the store before recomputing and new entries are
 written through, so a warm-started process makes bit-identical
@@ -87,6 +104,7 @@ from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Any, Callable, Hashable
 
 if TYPE_CHECKING:
+    from repro.core.coprocessing import CoProcessingFacts
     from repro.core.results import JoinMetrics
     from repro.core.strategy import JoinPlan
 
@@ -94,41 +112,69 @@ if TYPE_CHECKING:
 #: a bound, not a tuning knob.  Override via :func:`configure`.
 DEFAULT_MAX_ENTRIES = 65536
 
-#: Backwards-compatible alias for the historical module constant.
-MAX_ENTRIES = DEFAULT_MAX_ENTRIES
 
-_cache: "OrderedDict[Hashable, JoinMetrics]" = OrderedDict()
-_ladder_cache: "OrderedDict[Hashable, str]" = OrderedDict()
-_plan_cache: "OrderedDict[Hashable, JoinPlan]" = OrderedDict()
+class _Lru:
+    """One LRU-bounded cache and its counters."""
+
+    def __init__(self) -> None:
+        self.entries: OrderedDict[Hashable, Any] = OrderedDict()
+        self.reset_stats()
+
+    def reset_stats(self) -> None:
+        self.hits = 0
+        self.misses = 0
+        self.evictions = 0
+        self.store_hits = 0
+
+    def get(self, key: Hashable) -> Any:
+        """The cached value (refreshing its recency), or ``None``."""
+        value = self.entries.get(key)
+        if value is None:
+            self.misses += 1
+        else:
+            self.entries.move_to_end(key)
+            self.hits += 1
+        return value
+
+    def put(self, key: Hashable, value: Any) -> None:
+        # Evict *before* inserting, at ``>=``: the cache never holds
+        # ``max_entries + 1`` entries, not even transiently.
+        if key in self.entries:
+            self.entries.move_to_end(key)
+        elif len(self.entries) >= _max_entries:
+            self.entries.popitem(last=False)
+            self.evictions += 1
+        self.entries[key] = value
+
+    def trim(self) -> None:
+        while len(self.entries) > _max_entries:
+            self.entries.popitem(last=False)
+            self.evictions += 1
+
+
+_estimates = _Lru()
+_plans = _Lru()
+_ladders = _Lru()
+_facts = _Lru()
+_CACHES = (_estimates, _plans, _ladders, _facts)
 _enabled = True
 _max_entries = DEFAULT_MAX_ENTRIES
-_hits = 0
-_misses = 0
-_evictions = 0
-_plan_hits = 0
-_plan_misses = 0
-_plan_evictions = 0
-_ladder_hits = 0
-_ladder_misses = 0
-_ladder_evictions = 0
 #: Optional persistence backend (see :func:`attach_store`): an object
 #: with the duck-typed ``estimate_for_key`` / ``remember_estimate`` /
 #: ``ladder_for_key`` / ``remember_ladder`` / ``plan_for_key`` /
 #: ``remember_plan`` methods — in practice a
 #: :class:`repro.core.sample_store.SampleStore`.
 _store: Any = None
-_store_hits = 0
-_plan_store_hits = 0
-_ladder_store_hits = 0
 
 
 @dataclass(frozen=True)
 class CacheStats:
-    """Hit/miss/eviction counters of the estimate cache (plan and
-    ladder caches tracked separately so estimate-path accounting stays
-    comparable across releases).  ``store_hits`` counters record misses
-    answered by an attached persistent store instead of recomputation —
-    such a miss increments both ``misses`` and the store counter."""
+    """Hit/miss/eviction counters of the estimate cache (plan, ladder
+    and co-processing facts caches tracked separately so estimate-path
+    accounting stays comparable across releases).  ``store_hits``
+    counters record misses answered by an attached persistent store
+    instead of recomputation — such a miss increments both ``misses``
+    and the store counter."""
 
     hits: int
     misses: int
@@ -145,6 +191,10 @@ class CacheStats:
     store_hits: int = 0
     plan_store_hits: int = 0
     ladder_store_hits: int = 0
+    facts_hits: int = 0
+    facts_misses: int = 0
+    facts_entries: int = 0
+    facts_evictions: int = 0
     max_entries: int = DEFAULT_MAX_ENTRIES
 
     @property
@@ -171,14 +221,8 @@ def configure(*, enabled: bool, max_entries: int | None = None) -> None:
         if max_entries < 1:
             raise ValueError(f"max_entries must be >= 1, got {max_entries}")
         _max_entries = max_entries
-        for cache, counter in (
-            (_cache, "_evictions"),
-            (_plan_cache, "_plan_evictions"),
-            (_ladder_cache, "_ladder_evictions"),
-        ):
-            while len(cache) > _max_entries:
-                cache.popitem(last=False)
-                globals()[counter] += 1
+        for cache in _CACHES:
+            cache.trim()
     if not enabled:
         clear()
 
@@ -192,10 +236,10 @@ def max_entries() -> int:
 
 
 def clear() -> None:
-    """Drop every cached estimate and reset the counters."""
-    _cache.clear()
-    _ladder_cache.clear()
-    _plan_cache.clear()
+    """Drop every cached estimate, plan, ladder choice and co-processing
+    facts entry, and reset the counters."""
+    for cache in _CACHES:
+        cache.entries.clear()
     reset_stats()
 
 
@@ -207,40 +251,31 @@ def reset_stats() -> None:
     also available directly for benchmarks that want per-phase
     accounting over a warm cache.
     """
-    global _hits, _misses, _evictions, _plan_hits, _plan_misses
-    global _plan_evictions, _ladder_hits, _ladder_misses, _ladder_evictions
-    global _store_hits, _plan_store_hits, _ladder_store_hits
-    _hits = 0
-    _misses = 0
-    _evictions = 0
-    _plan_hits = 0
-    _plan_misses = 0
-    _plan_evictions = 0
-    _ladder_hits = 0
-    _ladder_misses = 0
-    _ladder_evictions = 0
-    _store_hits = 0
-    _plan_store_hits = 0
-    _ladder_store_hits = 0
+    for cache in _CACHES:
+        cache.reset_stats()
 
 
 def stats() -> CacheStats:
     return CacheStats(
-        hits=_hits,
-        misses=_misses,
-        entries=len(_cache),
-        plan_hits=_plan_hits,
-        plan_misses=_plan_misses,
-        plan_entries=len(_plan_cache),
-        evictions=_evictions,
-        plan_evictions=_plan_evictions,
-        ladder_hits=_ladder_hits,
-        ladder_misses=_ladder_misses,
-        ladder_evictions=_ladder_evictions,
-        ladder_entries=len(_ladder_cache),
-        store_hits=_store_hits,
-        plan_store_hits=_plan_store_hits,
-        ladder_store_hits=_ladder_store_hits,
+        hits=_estimates.hits,
+        misses=_estimates.misses,
+        entries=len(_estimates.entries),
+        plan_hits=_plans.hits,
+        plan_misses=_plans.misses,
+        plan_entries=len(_plans.entries),
+        evictions=_estimates.evictions,
+        plan_evictions=_plans.evictions,
+        ladder_hits=_ladders.hits,
+        ladder_misses=_ladders.misses,
+        ladder_evictions=_ladders.evictions,
+        ladder_entries=len(_ladders.entries),
+        store_hits=_estimates.store_hits,
+        plan_store_hits=_plans.store_hits,
+        ladder_store_hits=_ladders.store_hits,
+        facts_hits=_facts.hits,
+        facts_misses=_facts.misses,
+        facts_entries=len(_facts.entries),
+        facts_evictions=_facts.evictions,
         max_entries=_max_entries,
     )
 
@@ -259,7 +294,10 @@ def attach_store(store: Any) -> None:
     promoted into the in-memory LRU), and every newly computed entry is
     written through so a later process can warm-start.  Stored values
     are exact JSON round-trips of recomputation, so attaching a store
-    never changes results — only where they come from.
+    never changes results — only where they come from.  The
+    co-processing facts memo is never persisted: it only shortcuts the
+    recomputation of estimates and plans, which the store already
+    persists.
     """
     global _store
     _store = store
@@ -291,44 +329,52 @@ def lookup(key: Hashable | None) -> "JoinMetrics | None":
     """A defensive copy of the cached metrics, or ``None`` on a miss.
     A hit refreshes the entry's LRU recency; with a persistent store
     attached, a miss consults the store and promotes its answer."""
-    global _hits, _misses, _store_hits
     if not _enabled or key is None:
         return None
-    cached = _cache.get(key)
+    cached = _estimates.get(key)
     if cached is None:
-        _misses += 1
         if _store is not None:
             persisted = _store.estimate_for_key(key)
             if persisted is not None:
-                _store_hits += 1
-                _insert(key, persisted)
+                _estimates.store_hits += 1
+                _estimates.put(key, _copy(persisted))
                 return _copy(persisted)
         return None
-    _cache.move_to_end(key)
-    _hits += 1
     return _copy(cached)
 
 
 def store(key: Hashable | None, metrics: "JoinMetrics") -> None:
     if not _enabled or key is None:
         return
-    _insert(key, metrics)
+    _estimates.put(key, _copy(metrics))
     if _store is not None:
         _store.remember_estimate(key, metrics)
 
 
-def _insert(key: Hashable, metrics: "JoinMetrics") -> None:
-    global _evictions
-    if key in _cache:
-        _cache.move_to_end(key)
-    elif len(_cache) >= _max_entries:
-        _cache.popitem(last=False)
-        _evictions += 1
-    _cache[key] = _copy(metrics)
-
-
 def _copy(metrics: "JoinMetrics") -> "JoinMetrics":
     return replace(metrics, phases=dict(metrics.phases), notes=dict(metrics.notes))
+
+
+def _memoized(
+    cache: _Lru,
+    key: Hashable,
+    compute: Callable[[], Any],
+    recall: Callable[[Hashable], Any] | None = None,
+    remember: Callable[[Hashable, Any], None] | None = None,
+) -> Any:
+    """``cache``'s entry for ``key``, computing (or, with a store
+    attached, recalling) and inserting it on a miss."""
+    value = cache.get(key)
+    if value is None:
+        value = recall(key) if recall is not None else None
+        if value is not None:
+            cache.store_hits += 1
+        else:
+            value = compute()
+            if remember is not None:
+                remember(key, value)
+        cache.put(key, value)
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -343,32 +389,17 @@ def cached_ladder_choice(
     available_bytes); admission control re-runs it on every scheduling
     event and the determinism re-run repeats the whole sequence.
     """
-    global _ladder_hits, _ladder_misses, _ladder_evictions, _ladder_store_hits
     if not _enabled:
         return compute()
     try:
         hash(key)
     except TypeError:
         return compute()
-    choice = _ladder_cache.get(key)
-    if choice is None:
-        _ladder_misses += 1
-        persisted = _store.ladder_for_key(key) if _store is not None else None
-        if persisted is not None:
-            _ladder_store_hits += 1
-            choice = persisted
-        else:
-            choice = compute()
-            if _store is not None:
-                _store.remember_ladder(key, choice)
-        if len(_ladder_cache) >= _max_entries:
-            _ladder_cache.popitem(last=False)
-            _ladder_evictions += 1
-        _ladder_cache[key] = choice
-    else:
-        _ladder_cache.move_to_end(key)
-        _ladder_hits += 1
-    return choice
+    if _store is None:
+        return _memoized(_ladders, key, compute)
+    return _memoized(
+        _ladders, key, compute, _store.ladder_for_key, _store.remember_ladder
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -392,25 +423,38 @@ def cached_plan(
     key mismatch that silently stops the cache from hitting shows up
     in the accounting.
     """
-    global _plan_hits, _plan_misses, _plan_evictions, _plan_store_hits
     if not _enabled or key is None:
         return compute()
-    plan = _plan_cache.get(key)
-    if plan is None:
-        _plan_misses += 1
-        persisted = _store.plan_for_key(key) if _store is not None else None
-        if persisted is not None:
-            _plan_store_hits += 1
-            plan = persisted
-        else:
-            plan = compute()
-            if _store is not None:
-                _store.remember_plan(key, plan)
-        if len(_plan_cache) >= _max_entries:
-            _plan_cache.popitem(last=False)
-            _plan_evictions += 1
-        _plan_cache[key] = plan
-    else:
-        _plan_cache.move_to_end(key)
-        _plan_hits += 1
-    return plan
+    if _store is None:
+        return _memoized(_plans, key, compute)
+    return _memoized(
+        _plans, key, compute, _store.plan_for_key, _store.remember_plan
+    )
+
+
+# ---------------------------------------------------------------------------
+# Co-processing kernel facts
+# ---------------------------------------------------------------------------
+def cached_facts(
+    key: Hashable, compute: Callable[[], "CoProcessingFacts"]
+) -> "CoProcessingFacts":
+    """Memoize a co-processing strategy's spec-only kernel facts
+    (:class:`repro.core.coprocessing.CoProcessingFacts`).
+
+    The facts are pure in the key the strategy builds (system,
+    calibration, config, ``cpu_bits``, ``device_budget``, spec,
+    ``chunk_tuples``) and independent of ``threads`` and
+    ``materialize``, so every thread count and both output modes of a
+    figure sweep share one entry.  They are scalars and a 16-entry
+    plan, never the per-partition evaluator arrays they were derived
+    from, so the memo stays small.  The returned facts are **shared,
+    read-only**.  A disabled cache and an unhashable key both
+    recompute; entries are never persisted to an attached store.
+    """
+    if not _enabled:
+        return compute()
+    try:
+        hash(key)
+    except TypeError:
+        return compute()
+    return _memoized(_facts, key, compute)

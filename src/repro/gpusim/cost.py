@@ -583,12 +583,18 @@ class _ScaledJoinCostBase:
             "launch": calib.kernel_launch_seconds,
         }
         if self.materialize:
-            mat = model.materialize_seconds(
-                self.total_matches_base * scale * self.out_tuple_bytes
-            )
+            mat = self.materialize_seconds(scale)
             seconds += mat
             breakdown["materialize"] = mat
         return KernelCost(seconds, breakdown)
+
+    def materialize_seconds(self, scale: float = 1.0) -> float:
+        """The output-materialization term that :meth:`cost` adds when
+        ``materialize`` is set (computed whatever the flag), so a caller
+        can price both output modes from one evaluator."""
+        return self.model.materialize_seconds(
+            self.total_matches_base * float(scale) * self.out_tuple_bytes
+        )
 
 
 class ScaledHashJoinCost(_ScaledJoinCostBase):

@@ -40,6 +40,42 @@ def test_compare_detects_run_fail_flips(tmp_path):
     assert any(d.reference is None for d in deviations)
 
 
+def test_compare_reports_figure_missing_from_snapshot(tmp_path):
+    path = tmp_path / "ref.json"
+    compare_mod.snapshot(path, scale=SCALE, figures=FIGS)
+    payload = json.loads(path.read_text())
+    fresh = payload["figures"].pop("fig07")
+    path.write_text(json.dumps(payload))
+    deviations = compare_mod.compare(path, figures=FIGS)
+    assert len(deviations) == sum(len(points) for points in fresh.values())
+    assert {d.figure for d in deviations} == {"fig07"}
+    assert all(d.reference is None for d in deviations)
+
+
+def test_compare_reports_series_only_in_fresh_run(tmp_path):
+    path = tmp_path / "ref.json"
+    compare_mod.snapshot(path, scale=SCALE, figures=FIGS)
+    payload = json.loads(path.read_text())
+    fresh = payload["figures"]["fig07"].pop("Aggregation")
+    path.write_text(json.dumps(payload))
+    deviations = compare_mod.compare(path, figures=FIGS)
+    assert [(d.series, d.x, d.reference, d.measured) for d in deviations] == [
+        ("Aggregation", x, None, y) for x, y in fresh
+    ]
+
+
+def test_compare_reports_x_only_in_fresh_run(tmp_path):
+    path = tmp_path / "ref.json"
+    compare_mod.snapshot(path, scale=SCALE, figures=FIGS)
+    payload = json.loads(path.read_text())
+    x, y = payload["figures"]["fig07"]["Aggregation"].pop(0)
+    path.write_text(json.dumps(payload))
+    deviations = compare_mod.compare(path, figures=FIGS)
+    assert [(d.series, d.x, d.reference, d.measured) for d in deviations] == [
+        ("Aggregation", x, None, y)
+    ]
+
+
 def test_compare_respects_tolerance(tmp_path):
     path = tmp_path / "ref.json"
     compare_mod.snapshot(path, scale=SCALE, figures=FIGS)

@@ -1,6 +1,7 @@
 """Smoke tests of the tracked perf benchmark suite."""
 
 import json
+import re
 
 from repro.bench.perf_bench import (
     bench_engine,
@@ -44,3 +45,5 @@ def test_perf_main_ceiling(tmp_path, capsys):
     assert perf_main(["--quick", "--out", "-", "--ceiling", "1e-9"]) == 1
     captured = capsys.readouterr().out
     assert "FAIL" in captured
+    # The co-processing facts memo is accounted next to the other caches.
+    assert re.search(r"facts \d+/\d+/\d+ \(\d+ facts entries", captured)

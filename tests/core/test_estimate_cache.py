@@ -87,19 +87,46 @@ def test_cached_result_is_copy_safe():
 
 def test_disabled_cache_recomputes_identically():
     warm = create_strategy("coprocessing").estimate(BIG).seconds
+    assert estimate_cache.stats().facts_entries == 1
     estimate_cache.configure(enabled=False)
     cold = create_strategy("coprocessing").estimate(BIG).seconds
-    assert estimate_cache.stats().entries == 0
+    stats = estimate_cache.stats()
+    assert (stats.entries, stats.facts_entries) == (0, 0)
+    assert (stats.facts_hits, stats.facts_misses) == (0, 0)
     assert warm == pytest.approx(cold, abs=1e-9)
+    # Disabled, the facts memo is bypassed: every call recomputes.
+    calls = []
+    for _ in range(2):
+        estimate_cache.cached_facts(("facts",), lambda: calls.append(1) or len(calls))
+    assert calls == [1, 1]
 
 
 def test_clear_resets_entries_and_counters():
     create_strategy("gpu_resident").estimate(SPEC)
     create_strategy("gpu_resident").estimate(SPEC)
+    create_strategy("coprocessing").estimate(BIG)
+    create_strategy("coprocessing").estimate(BIG, materialize=True)
+    assert estimate_cache.stats().facts_hits == 1
     estimate_cache.clear()
     stats = estimate_cache.stats()
     assert (stats.hits, stats.misses, stats.entries) == (0, 0, 0)
+    assert (stats.facts_hits, stats.facts_misses, stats.facts_entries) == (0, 0, 0)
     assert stats.hit_rate == 0.0
+
+
+def test_coprocessing_facts_shared_across_threads_modes_and_variants():
+    """The facts key leaves out threads, materialize, the class and
+    ``staging``; it keeps every knob the kernel prices depend on."""
+    create_strategy("coprocessing").estimate(BIG, threads=8)
+    create_strategy("coprocessing").estimate(BIG, materialize=True)
+    create_strategy("coprocessing", staging=False).estimate(BIG)
+    create_strategy("coprocessing_adaptive").estimate(BIG)
+    stats = estimate_cache.stats()
+    assert (stats.facts_misses, stats.facts_hits, stats.facts_entries) == (1, 3, 1)
+    create_strategy("coprocessing", cpu_bits=5).estimate(BIG)
+    create_strategy("coprocessing", device_budget=4 << 30).estimate(BIG)
+    create_strategy("coprocessing").estimate(BIG, chunk_tuples=1 << 24)
+    assert estimate_cache.stats().facts_misses == 4
 
 
 def test_ladder_choice_memoized_and_correct():
@@ -216,11 +243,21 @@ def test_plan_and_ladder_caches_evict_at_cap():
     for i in range(4):
         estimate_cache.cached_plan(("plan", i), lambda i=i: i)
         estimate_cache.cached_ladder_choice(("ladder", i), lambda: "x")
+        estimate_cache.cached_facts(("facts", i), lambda i=i: i)
     stats = estimate_cache.stats()
     assert stats.plan_entries == 2
     assert stats.plan_evictions == 2
     assert stats.ladder_entries == 2
     assert stats.ladder_evictions == 2
+    assert stats.facts_entries == 2
+    assert stats.facts_evictions == 2
+    assert estimate_cache.cached_facts(("facts", 3), lambda: "new") == 3
+    assert estimate_cache.cached_facts(("facts", 0), lambda: "recomputed") == (
+        "recomputed"
+    )
+    stats_after = estimate_cache.stats()
+    assert stats_after.facts_hits == stats.facts_hits + 1
+    assert stats_after.facts_misses == stats.facts_misses + 1
     # Evicted keys recompute (a miss), retained keys hit.
     assert estimate_cache.cached_plan(("plan", 3), lambda: "new") == 3
     assert estimate_cache.stats().plan_hits == stats.plan_hits + 1
