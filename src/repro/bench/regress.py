@@ -52,13 +52,6 @@ the default ``fifo`` policy must stay bit-identical to the golden
 schedules, ``edf`` must strictly reduce the deadline-miss rate against
 ``fifo`` on the deadline-classed canonical workload, and ``sjf`` must
 never worsen its mean latency.
-:func:`run_learned_regression` pins the learned cost-model fast path:
-with a model *fitted and installed* but ``learned=False`` (the
-default) the golden schedules must stay bit-identical — installation
-alone may not perturb anything — and with ``learned=True`` every run
-must still conserve queries, reconcile arenas, replay
-deterministically, and keep its planner-decision divergence from the
-analytic ladder bounded.
 """
 
 from __future__ import annotations
@@ -723,144 +716,6 @@ def run_admission_regression(
     ]
 
 
-#: Seeds of the learned-cost regression — the recording workloads, the
-#: learned-off identity column and the learned-on invariant column all
-#: use the same subset.
-LEARNED_REGRESSION_SEEDS = (0, 60, 120, 180)
-
-#: Upper bound on the fraction of per-query strategy decisions the
-#: learned filter may flip against the analytic ladder.  The filter is
-#: restricted to the analytically *feasible* rungs, so wholesale
-#: divergence means the regression is broken, not merely different.
-LEARNED_MAX_DIVERGENCE = 0.5
-
-
-def run_learned_regression(
-    seeds: tuple[int, ...] = LEARNED_REGRESSION_SEEDS,
-) -> list[str]:
-    """Assert the learned cost-model fast path's anchor contracts;
-    returns report lines.
-
-    Records a sample population into an in-memory
-    :class:`~repro.core.sample_store.SampleStore` by serving the seed
-    workloads, fits a :class:`~repro.core.learned_cost.LearnedCostModel`
-    from it, then checks two columns:
-
-    * **Inertness** — with the model *installed* but ``learned=False``
-      (the default), ``devices=1`` runs must stay bit-identical to the
-      recorded golden schedules: installation without activation may
-      not perturb a single decision;
-    * **Safety under activation** — with ``learned=True`` on a
-      two-device fleet, every run must pass
-      :func:`~repro.serve.faults.check_fault_invariants` (conservation,
-      arena reconciliation, retry budgets), replay deterministically,
-      and flip at most :data:`LEARNED_MAX_DIVERGENCE` of the per-query
-      strategy decisions relative to the analytic ladder (the filter
-      only reorders analytically feasible rungs).
-
-    Any violation raises :class:`~repro.errors.SchedulingError`.
-    """
-    from repro.bench.serve_bench import fingerprint_sharded
-    from repro.core import learned_cost, sample_store
-    from repro.core.learned_cost import LearnedCostModel
-    from repro.core.sample_store import SampleStore
-    from repro.errors import SchedulingError
-    from repro.serve.faults import FaultPlan, check_fault_invariants
-    from repro.serve.scheduler import QueryScheduler
-    from repro.serve.workload import random_workload
-
-    golden = _golden()
-
-    # Record: serve the seed workloads with an in-memory store attached
-    # so every estimate contributes a (fingerprint, features, seconds)
-    # sample; the estimate cache is cleared first so cache hits from
-    # earlier columns cannot starve the recorder.
-    store = SampleStore()
-    estimate_cache.clear()
-    sample_store.attach(store)
-    try:
-        for seed in seeds:
-            QueryScheduler(devices=1).run(random_workload(seed))
-    finally:
-        sample_store.detach()
-    model = LearnedCostModel.fit(store)
-    if len(model) == 0:
-        raise SchedulingError(
-            f"learned regression fitted no strategies from "
-            f"{len(store.samples)} recorded samples — the recording path "
-            "is broken"
-        )
-
-    learned_cost.set_model(model)
-    try:
-        # Column 1: installed-but-inactive must stay bit-identical to
-        # the recorded golden schedules.
-        for seed in seeds:
-            report = QueryScheduler(devices=1, learned=False).run(
-                random_workload(seed)
-            )
-            if not _matches_golden(report, golden["seeds"][str(seed)]):
-                raise SchedulingError(
-                    f"learned=False diverged from the recorded golden "
-                    f"schedule at seed {seed} with a model installed — "
-                    "installation alone perturbed the planner"
-                )
-
-        # Column 2: activation must preserve the serving invariants.
-        devices = SERVE_REGRESSION_DEVICES
-        flipped = 0
-        total = 0
-        for seed in seeds:
-            requests = random_workload(seed)
-            analytic = QueryScheduler(devices=devices).run(requests)
-            learned = QueryScheduler(devices=devices, learned=True).run(
-                requests
-            )
-            replay = QueryScheduler(devices=devices, learned=True).run(
-                requests
-            )
-            if fingerprint_sharded(replay) != fingerprint_sharded(learned):
-                raise SchedulingError(
-                    f"learned=True did not replay deterministically at "
-                    f"seed {seed}"
-                )
-            check_fault_invariants(
-                learned,
-                FaultPlan(),
-                arrivals=len(requests),
-                max_retries=QueryScheduler().max_retries,
-            )
-            analytic_by_qid = {o.qid: o.strategy for o in analytic.outcomes}
-            for outcome in learned.outcomes:
-                total += 1
-                if outcome.strategy != analytic_by_qid.get(outcome.qid):
-                    flipped += 1
-        if total == 0:
-            raise SchedulingError(
-                "learned regression completed no queries — the invariant "
-                "column is vacuous"
-            )
-        divergence = flipped / total
-        if divergence > LEARNED_MAX_DIVERGENCE:
-            raise SchedulingError(
-                f"learned planner flipped {flipped}/{total} strategy "
-                f"decisions ({divergence:.0%}) — above the "
-                f"{LEARNED_MAX_DIVERGENCE:.0%} bound; the filter is no "
-                "longer restricted to feasible rungs"
-            )
-    finally:
-        learned_cost.clear_model()
-    return [
-        f"learned[{len(seeds)} seeds]: {len(store.samples)} samples, "
-        f"{len(model)} fitted strategies; learned-off bit-identical to "
-        f"golden schedules; learned-on on {SERVE_REGRESSION_DEVICES} "
-        f"devices conserved every query, arenas reconciled, replay "
-        f"identical, {flipped}/{total} decisions flipped "
-        f"({divergence:.0%} <= {LEARNED_MAX_DIVERGENCE:.0%})  ok"
-    ]
-
-
-
 def main() -> int:
     rows = run_regression()
     print(render(rows))
@@ -902,13 +757,6 @@ def main() -> int:
     print(
         "admission policies: fifo inert against the golden schedules, "
         "reordering policies win their metrics"
-    )
-    for line in run_learned_regression():
-        print(line)
-    print(
-        "learned cost model: installation inert against the golden "
-        "schedules, activation keeps every serving invariant with "
-        "bounded decision divergence"
     )
     return 0
 

@@ -81,15 +81,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import time
 from dataclasses import asdict, dataclass
 
 from repro.bench.perf_bench import PerfEntry
-from repro.core import estimate_cache, learned_cost, sample_store
-from repro.core.learned_cost import LearnedCostModel
-from repro.core.sample_store import SampleStore
-from repro.errors import SampleStoreError, SchedulingError
+from repro.errors import SchedulingError
 from repro.gpusim.calibration import (
     CALIBRATION_PRESETS,
     Calibration,
@@ -256,7 +254,6 @@ def run_serve(
     admission: str = FIFO,
     classes: bool = False,
     deadline_scale: float = 1.0,
-    learned: bool = False,
     scheduler: QueryScheduler | None = None,
     check_determinism: bool = True,
 ) -> ServeReport:
@@ -277,12 +274,7 @@ def run_serve(
     (:func:`~repro.serve.workload.classed_workload`, deadlines scaled
     by ``deadline_scale``); reordering policies and classed workloads
     skip the serial-baseline assertion — admission order trades
-    makespan for latency/deadline goals on purpose.  ``learned=True``
-    serves under the opt-in learned cost-model fast path (a fitted
-    model must be installed via ``learned_cost.set_model``); learned
-    runs skip the serial-baseline assertion — the learned planner may
-    pick a different rung than solo analytic planning — but are still
-    deterministic and arena-verified.
+    makespan for latency/deadline goals on purpose.
     """
 
     def workload():
@@ -306,7 +298,6 @@ def run_serve(
         steal=steal,
         max_retries=max_retries,
         admission=admission,
-        learned=learned,
     )
     faulted = faults is not None and not faults.is_empty
     report = scheduler.run(requests, faults=faults)
@@ -319,7 +310,6 @@ def run_serve(
         and not faulted
         and scheduler.admission == FIFO
         and not classes
-        and not scheduler.learned
     )
     verify_report(report, clients=clients, check_serial=canonical)
     if check_determinism:
@@ -332,7 +322,6 @@ def run_serve(
             steal=scheduler.steal,
             max_retries=scheduler.max_retries,
             admission=scheduler.admission,
-            learned=scheduler.learned,
         )
         rerun = fresh.run(workload(), faults=faults)
         if fingerprint_sharded(rerun) != fingerprint_sharded(report):
@@ -361,7 +350,6 @@ def sweep(
     admission: str = FIFO,
     classes: bool = False,
     deadline_scale: float = 1.0,
-    learned: bool = False,
     check_determinism: bool = True,
 ) -> list[ServePoint]:
     """Throughput/latency versus offered concurrency."""
@@ -379,7 +367,6 @@ def sweep(
             admission=admission,
             classes=classes,
             deadline_scale=deadline_scale,
-            learned=learned,
             check_determinism=check_determinism,
         )
         points.append(
@@ -484,7 +471,6 @@ def run_stream_bench(
     admission: str = FIFO,
     classes: bool = False,
     deadline_scale: float = 1.0,
-    learned: bool = False,
     seed: int = 0,
 ) -> tuple[StreamReport, float]:
     """Run the steady-state streaming benchmark; returns (verified
@@ -505,7 +491,6 @@ def run_stream_bench(
         steal=steal,
         max_retries=max_retries,
         admission=admission,
-        learned=learned,
     )
     start = time.perf_counter()
     report = scheduler.run_stream(
@@ -720,12 +705,26 @@ def merge_perf_json(entries: dict[str, PerfEntry], path: str) -> None:
         handle.write("\n")
 
 
+def _positive_float(text: str) -> float:
+    """argparse type of the workload knobs: a finite number above 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(
+            f"must be a finite number above 0, got {text!r}"
+        )
+    return value
+
+
 def parse_device_caps(text: str | None, devices: int) -> list[int] | None:
     """Parse ``--device-caps`` (comma-separated GB) into bytes.
 
     Raises :class:`ValueError` naming the flag on malformed numbers,
-    non-positive entries, entries above the modelled GPU's device
-    memory, or an entry count that does not match ``--devices``.
+    entries that are not finite or round to less than 1 byte, entries
+    above the modelled GPU's device memory, or an entry count that does
+    not match ``--devices``.
     """
     if text is None:
         return None
@@ -742,16 +741,19 @@ def parse_device_caps(text: str | None, devices: int) -> list[int] | None:
             f"--device-caps has {len(caps_gb)} entries but --devices is "
             f"{devices}; give one capacity per device"
         )
-    if any(cap <= 0 for cap in caps_gb):
-        raise ValueError(
-            f"--device-caps entries must be positive GB, got {text!r}"
-        )
     limit = SystemSpec().gpu.device_memory
-    caps = [int(cap * 1e9) for cap in caps_gb]
-    for index, cap in enumerate(caps):
+    caps = []
+    for index, cap_gb in enumerate(caps_gb):
+        if not (math.isfinite(cap_gb) and cap_gb * 1e9 >= 1):
+            raise ValueError(
+                f"--device-caps entry {index} ({parts[index]} GB) must be "
+                f"a finite positive size of at least 1 byte"
+            )
+        cap = int(cap_gb * 1e9)
+        caps.append(cap)
         if cap > limit:
             raise ValueError(
-                f"--device-caps entry {index} ({caps_gb[index]:g} GB) is "
+                f"--device-caps entry {index} ({cap_gb:g} GB) is "
                 f"above the modelled GPU's device memory "
                 f"({limit / 1e9:g} GB)"
             )
@@ -798,7 +800,7 @@ def serve_main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--scale",
-        type=float,
+        type=_positive_float,
         default=1.0,
         help="shrink workload cardinalities by this factor (default 1.0)",
     )
@@ -810,7 +812,7 @@ def serve_main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--arrival-rate",
-        type=float,
+        type=_positive_float,
         default=None,
         metavar="R",
         help="offered arrival rate in queries per simulated second "
@@ -872,7 +874,7 @@ def serve_main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--deadline-scale",
-        type=float,
+        type=_positive_float,
         default=1.0,
         metavar="FACTOR",
         help="multiply every class deadline by this factor "
@@ -968,24 +970,6 @@ def serve_main(argv: list[str] | None = None) -> int:
         help="fail when the --stream shed rate exceeds this fraction",
     )
     parser.add_argument(
-        "--sample-store",
-        default=None,
-        metavar="PATH",
-        help="persistent kernel-sample store: record every estimate of "
-        "this run into PATH (append-only JSONL, created on first use) "
-        "and warm-start the estimate/plan/ladder caches from it — "
-        "warm runs make bit-identical decisions to cold ones",
-    )
-    parser.add_argument(
-        "--learned",
-        action="store_true",
-        help="serve under the learned cost-model fast path: fit a "
-        "per-strategy regression from --sample-store and let the "
-        "planner rank feasible ladder rungs by predicted runtime "
-        "(approximate by design; skips the serial-baseline assertion, "
-        "keeps determinism and every arena invariant)",
-    )
-    parser.add_argument(
         "--out",
         default="BENCH_perf.json",
         help="JSON path the --stream series merge into "
@@ -1012,11 +996,7 @@ def serve_main(argv: list[str] | None = None) -> int:
             "--faults needs --devices >= 2: at least one device must "
             "survive the crash plan"
         )
-    if args.deadline_scale <= 0:
-        parser.error("--deadline-scale must be positive")
     if args.arrival_rate is not None:
-        if args.arrival_rate <= 0:
-            parser.error("--arrival-rate must be positive")
         if args.spacing != 0.0:
             parser.error("--arrival-rate and --spacing are mutually exclusive")
         spacing = 1.0 / args.arrival_rate
@@ -1030,44 +1010,9 @@ def serve_main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         parser.error(str(exc))
     hetero = device_capacities is not None or device_calibrations is not None
-    if args.learned and not args.sample_store:
-        parser.error(
-            "--learned needs --sample-store: the regression is fit from "
-            "recorded kernel samples"
-        )
-
-    store = None
-    if args.sample_store:
-        try:
-            store = SampleStore.open(args.sample_store)
-        except SampleStoreError as exc:
-            parser.error(str(exc))
-    try:
-        if store is not None:
-            # Record every estimate of this run, and serve cache misses
-            # from entries earlier processes persisted.
-            sample_store.attach(store)
-            estimate_cache.attach_store(store)
-            print(f"sample store: {store.summary()}")
-        if args.learned:
-            model = LearnedCostModel.fit(store)
-            learned_cost.set_model(model)
-            print(model.summary())
-        return _serve_dispatch(
-            parser, args, spacing, device_capacities, device_calibrations,
-            hetero,
-        )
-    finally:
-        if args.learned:
-            learned_cost.clear_model()
-        if store is not None:
-            sample_store.detach()
-            estimate_cache.detach_store()
-            written = store.flush()
-            print(
-                f"sample store {args.sample_store}: {written} new "
-                f"record(s) appended"
-            )
+    return _serve_dispatch(
+        parser, args, spacing, device_capacities, device_calibrations, hetero
+    )
 
 
 def _serve_dispatch(
@@ -1109,7 +1054,6 @@ def _serve_dispatch(
             admission=args.admission,
             classes=args.classes,
             deadline_scale=args.deadline_scale,
-            learned=args.learned,
             seed=args.seed,
         )
         classed_note = (
@@ -1208,7 +1152,6 @@ def _serve_dispatch(
         and not args.faults
         and args.admission == FIFO
         and not args.classes
-        and not args.learned
     )
     mode = "batch"
     if args.devices > 1:
@@ -1227,8 +1170,6 @@ def _serve_dispatch(
         mode += ", work stealing"
     if args.faults:
         mode += f", fault injection (seed {args.fault_seed})"
-    if args.learned:
-        mode += ", learned cost model"
 
     if args.clients is not None:
         fault_plan = None
@@ -1247,7 +1188,6 @@ def _serve_dispatch(
                 admission=args.admission,
                 classes=args.classes,
                 deadline_scale=args.deadline_scale,
-                learned=args.learned,
                 check_determinism=False,
             )
             fault_plan = FaultPlan.random(
@@ -1273,7 +1213,6 @@ def _serve_dispatch(
             admission=args.admission,
             classes=args.classes,
             deadline_scale=args.deadline_scale,
-            learned=args.learned,
         )
         wall = time.perf_counter() - start
         print(f"admission mode: {mode}")
@@ -1359,7 +1298,6 @@ def _serve_dispatch(
         admission=args.admission,
         classes=args.classes,
         deadline_scale=args.deadline_scale,
-        learned=args.learned,
     )
     print(f"admission mode: {mode}")
     print(render_sweep(points))

@@ -45,8 +45,7 @@ This module provides one shared cache:
   co-processing price each working set once.  Entries hold scalars
   only: keeping the per-working-set evaluators (arrays over up to 2^19
   partitions) alive raised the ``paper`` benchmark's peak RSS from
-  181 MB to 1353 MB, scalars keep it at 181 MB.  Facts are never
-  persisted to an attached store;
+  181 MB to 1353 MB, scalars keep it at 181 MB;
 * :func:`clear` / :func:`stats` / :func:`configure` — test and
   benchmark hooks.  :func:`clear` drops all four caches, so a cleared
   process (``bench perf``) measures cold estimates.
@@ -66,13 +65,6 @@ inserting when ``len(cache) >= max_entries`` — the ``>=`` (not ``>``)
 comparison is what guarantees no cache ever holds ``max_entries + 1``
 entries; ``tests/core/test_estimate_cache.py`` pins the bound for each
 cache.
-
-The estimate, ladder and plan caches can optionally be **persisted
-across processes** through a
-:class:`repro.core.sample_store.SampleStore` (:func:`attach_store`):
-misses consult the store before recomputing and new entries are
-written through, so a warm-started process makes bit-identical
-decisions to a cold one without re-estimating.
 
 Per-device memory budgets are part of every key already: a strategy's
 fingerprint includes its constructor extras (co-processing's
@@ -124,7 +116,6 @@ class _Lru:
         self.hits = 0
         self.misses = 0
         self.evictions = 0
-        self.store_hits = 0
 
     def get(self, key: Hashable) -> Any:
         """The cached value (refreshing its recency), or ``None``."""
@@ -159,22 +150,13 @@ _facts = _Lru()
 _CACHES = (_estimates, _plans, _ladders, _facts)
 _enabled = True
 _max_entries = DEFAULT_MAX_ENTRIES
-#: Optional persistence backend (see :func:`attach_store`): an object
-#: with the duck-typed ``estimate_for_key`` / ``remember_estimate`` /
-#: ``ladder_for_key`` / ``remember_ladder`` / ``plan_for_key`` /
-#: ``remember_plan`` methods — in practice a
-#: :class:`repro.core.sample_store.SampleStore`.
-_store: Any = None
 
 
 @dataclass(frozen=True)
 class CacheStats:
     """Hit/miss/eviction counters of the estimate cache (plan, ladder
     and co-processing facts caches tracked separately so estimate-path
-    accounting stays comparable across releases).  ``store_hits``
-    counters record misses answered by an attached persistent store
-    instead of recomputation — such a miss increments both ``misses``
-    and the store counter."""
+    accounting stays comparable across releases)."""
 
     hits: int
     misses: int
@@ -188,9 +170,6 @@ class CacheStats:
     ladder_misses: int = 0
     ladder_evictions: int = 0
     ladder_entries: int = 0
-    store_hits: int = 0
-    plan_store_hits: int = 0
-    ladder_store_hits: int = 0
     facts_hits: int = 0
     facts_misses: int = 0
     facts_entries: int = 0
@@ -269,47 +248,12 @@ def stats() -> CacheStats:
         ladder_misses=_ladders.misses,
         ladder_evictions=_ladders.evictions,
         ladder_entries=len(_ladders.entries),
-        store_hits=_estimates.store_hits,
-        plan_store_hits=_plans.store_hits,
-        ladder_store_hits=_ladders.store_hits,
         facts_hits=_facts.hits,
         facts_misses=_facts.misses,
         facts_entries=len(_facts.entries),
         facts_evictions=_facts.evictions,
         max_entries=_max_entries,
     )
-
-
-# ---------------------------------------------------------------------------
-# Cross-process persistence (opt-in; see repro.core.sample_store)
-# ---------------------------------------------------------------------------
-def attach_store(store: Any) -> None:
-    """Back the caches with a persistent store.
-
-    ``store`` is duck-typed (``estimate_for_key`` / ``remember_estimate``
-    and the ladder/plan analogues) — in practice a
-    :class:`repro.core.sample_store.SampleStore`.  While attached, a
-    cache miss consults the store before recomputing (a hit there is
-    counted in ``stats().store_hits`` *in addition to* the miss, and
-    promoted into the in-memory LRU), and every newly computed entry is
-    written through so a later process can warm-start.  Stored values
-    are exact JSON round-trips of recomputation, so attaching a store
-    never changes results — only where they come from.  The
-    co-processing facts memo is never persisted: it only shortcuts the
-    recomputation of estimates and plans, which the store already
-    persists.
-    """
-    global _store
-    _store = store
-
-
-def detach_store() -> None:
-    global _store
-    _store = None
-
-
-def attached_store() -> Any:
-    return _store
 
 
 def make_key(
@@ -327,52 +271,29 @@ def make_key(
 
 def lookup(key: Hashable | None) -> "JoinMetrics | None":
     """A defensive copy of the cached metrics, or ``None`` on a miss.
-    A hit refreshes the entry's LRU recency; with a persistent store
-    attached, a miss consults the store and promotes its answer."""
+    A hit refreshes the entry's LRU recency."""
     if not _enabled or key is None:
         return None
     cached = _estimates.get(key)
-    if cached is None:
-        if _store is not None:
-            persisted = _store.estimate_for_key(key)
-            if persisted is not None:
-                _estimates.store_hits += 1
-                _estimates.put(key, _copy(persisted))
-                return _copy(persisted)
-        return None
-    return _copy(cached)
+    return None if cached is None else _copy(cached)
 
 
 def store(key: Hashable | None, metrics: "JoinMetrics") -> None:
     if not _enabled or key is None:
         return
     _estimates.put(key, _copy(metrics))
-    if _store is not None:
-        _store.remember_estimate(key, metrics)
 
 
 def _copy(metrics: "JoinMetrics") -> "JoinMetrics":
     return replace(metrics, phases=dict(metrics.phases), notes=dict(metrics.notes))
 
 
-def _memoized(
-    cache: _Lru,
-    key: Hashable,
-    compute: Callable[[], Any],
-    recall: Callable[[Hashable], Any] | None = None,
-    remember: Callable[[Hashable, Any], None] | None = None,
-) -> Any:
-    """``cache``'s entry for ``key``, computing (or, with a store
-    attached, recalling) and inserting it on a miss."""
+def _memoized(cache: _Lru, key: Hashable, compute: Callable[[], Any]) -> Any:
+    """``cache``'s entry for ``key``, computing and inserting it on a
+    miss."""
     value = cache.get(key)
     if value is None:
-        value = recall(key) if recall is not None else None
-        if value is not None:
-            cache.store_hits += 1
-        else:
-            value = compute()
-            if remember is not None:
-                remember(key, value)
+        value = compute()
         cache.put(key, value)
     return value
 
@@ -395,11 +316,7 @@ def cached_ladder_choice(
         hash(key)
     except TypeError:
         return compute()
-    if _store is None:
-        return _memoized(_ladders, key, compute)
-    return _memoized(
-        _ladders, key, compute, _store.ladder_for_key, _store.remember_ladder
-    )
+    return _memoized(_ladders, key, compute)
 
 
 # ---------------------------------------------------------------------------
@@ -425,11 +342,7 @@ def cached_plan(
     """
     if not _enabled or key is None:
         return compute()
-    if _store is None:
-        return _memoized(_plans, key, compute)
-    return _memoized(
-        _plans, key, compute, _store.plan_for_key, _store.remember_plan
-    )
+    return _memoized(_plans, key, compute)
 
 
 # ---------------------------------------------------------------------------
@@ -449,7 +362,7 @@ def cached_facts(
     plan, never the per-partition evaluator arrays they were derived
     from, so the memo stays small.  The returned facts are **shared,
     read-only**.  A disabled cache and an unhashable key both
-    recompute; entries are never persisted to an attached store.
+    recompute.
     """
     if not _enabled:
         return compute()

@@ -65,9 +65,9 @@ class DeviceCrash:
     device: int
 
     def __post_init__(self) -> None:
-        if self.at < 0:
+        if not (math.isfinite(self.at) and self.at >= 0):
             raise FaultPlanError(
-                f"crash time must be >= 0, got {self.at!r}"
+                f"crash time must be finite and >= 0, got {self.at!r}"
             )
         if self.device < 0:
             raise FaultPlanError(

@@ -32,6 +32,7 @@ scheduler (pinned against recorded golden schedules by
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import ClassVar, Iterator
 
@@ -501,9 +502,9 @@ class FleetEvent:
     device: int | None = None
 
     def __post_init__(self) -> None:
-        if self.at < 0:
+        if not (math.isfinite(self.at) and self.at >= 0):
             raise InvalidConfigError(
-                f"fleet event time must be >= 0, got {self.at!r}"
+                f"fleet event time must be finite and >= 0, got {self.at!r}"
             )
         if self.action == "add":
             if self.capacity_bytes is None or self.capacity_bytes <= 0:

@@ -83,7 +83,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Iterable
 
-from repro.core import estimate_cache, learned_cost
+from repro.core import estimate_cache
 from repro.core.config import GpuJoinConfig
 from repro.core.planner import choose_strategy_name
 from repro.core.strategy import (
@@ -261,11 +261,16 @@ class QueryRequest:
     def __post_init__(self) -> None:
         if not self.qid:
             raise InvalidConfigError("query id must be non-empty")
-        if self.submit_at < 0:
-            raise InvalidConfigError(f"{self.qid}: negative submit time")
-        if self.slo_wait_seconds is not None and self.slo_wait_seconds < 0:
+        if not (math.isfinite(self.submit_at) and self.submit_at >= 0):
             raise InvalidConfigError(
-                f"{self.qid}: negative slo_wait_seconds"
+                f"{self.qid}: submit_at must be finite and >= 0, got "
+                f"{self.submit_at!r}"
+            )
+        slo = self.slo_wait_seconds
+        if slo is not None and not (math.isfinite(slo) and slo >= 0):
+            raise InvalidConfigError(
+                f"{self.qid}: slo_wait_seconds must be finite and >= 0, "
+                f"got {slo!r}"
             )
         if self.query_class is not None and not isinstance(
             self.query_class, QueryClass
@@ -744,7 +749,6 @@ class QueryScheduler:
         steal: bool = False,
         max_retries: int = 3,
         retry_backoff_seconds: float = 0.05,
-        learned: bool = False,
     ):
         self.system = system or SystemSpec()
         if max_degradation is not None and max_degradation < 1.0:
@@ -799,16 +803,6 @@ class QueryScheduler:
         )
         self.admission = admission
         self.steal = steal
-        #: Opt-in learned cost-model fast path: every run of this
-        #: scheduler executes inside
-        #: ``learned_cost.activation(self.learned)`` — a force-set in
-        #: both directions, so ``learned=False`` (the default) keeps
-        #: runs bit-identical to golden even when some other component
-        #: in the process has installed a fitted model.  ``learned=True``
-        #: additionally requires a model (``learned_cost.set_model``) to
-        #: actually change anything; without one every estimate falls
-        #: through to the analytic path.
-        self.learned = learned
         #: Fault recovery (used only when a run gets a non-empty
         #: ``faults=`` plan): how many times one query may be
         #: re-admitted after a crash or transient admission failure,
@@ -848,15 +842,8 @@ class QueryScheduler:
     def _choose(self, request: QueryRequest, available_bytes: int) -> str:
         if request.strategy is not None:
             return request.strategy
-        # calibration/config only matter to the opt-in learned ladder
-        # filter (they pick which fingerprints it predicts under); the
-        # analytic walk ignores them, so learned=False is unchanged.
         return choose_strategy_name(
-            request.spec,
-            self.system,
-            available_bytes=available_bytes,
-            calibration=self.calibration,
-            config=self.config,
+            request.spec, self.system, available_bytes=available_bytes
         )
 
     def _strategy_kwargs(self, key: str, reserved_bytes: int) -> dict[str, Any]:
@@ -941,9 +928,7 @@ class QueryScheduler:
         if calibration is None and request.qid in self._solo_facts:
             return self._solo_facts[request.qid]
         calib = calibration if calibration is not None else self.calibration
-        key = request.strategy or choose_strategy_name(
-            request.spec, self.system, calibration=calib, config=self.config
-        )
+        key = request.strategy or choose_strategy_name(request.spec, self.system)
         seconds = self._strategy(key, calib).estimate(
             request.spec, materialize=request.materialize
         ).seconds
@@ -1487,16 +1472,15 @@ class QueryScheduler:
         """
         if len({r.qid for r in requests}) != len(requests):
             raise InvalidConfigError("query ids must be unique")
-        with learned_cost.activation(self.learned):
-            stream, fleet = self._loop(
-                sorted(requests, key=lambda r: r.submit_at),
-                shedding=False,
-                max_queue_depth=None,
-                slo_wait_seconds=None,
-                compact_every=None,
-                fleet_events=fleet_events,
-                faults=faults,
-            )
+        stream, fleet = self._loop(
+            sorted(requests, key=lambda r: r.submit_at),
+            shedding=False,
+            max_queue_depth=None,
+            slo_wait_seconds=None,
+            compact_every=None,
+            fleet_events=fleet_events,
+            faults=faults,
+        )
         position = {r.qid: index for index, r in enumerate(requests)}
         merged = fleet.merged_schedule()
         report = ServeReport(
@@ -1585,16 +1569,15 @@ class QueryScheduler:
         the exact fault-free path.  The report's makespan folds in
         completed queries only.
         """
-        with learned_cost.activation(self.learned):
-            report, _ = self._loop(
-                requests,
-                shedding=True,
-                max_queue_depth=max_queue_depth,
-                slo_wait_seconds=slo_wait_seconds,
-                compact_every=compact_every,
-                fleet_events=fleet_events,
-                faults=faults,
-            )
+        report, _ = self._loop(
+            requests,
+            shedding=True,
+            max_queue_depth=max_queue_depth,
+            slo_wait_seconds=slo_wait_seconds,
+            compact_every=compact_every,
+            fleet_events=fleet_events,
+            faults=faults,
+        )
         return self._audit(report, faults)
 
     def _audit(self, report: StreamReport, faults: "FaultPlan | None"):
@@ -1622,16 +1605,16 @@ class QueryScheduler:
         """The serving event loop behind both entry points.  ``shedding``
         enables every shedding verdict (queue cap, SLOs, deadline
         expiry); off, every arrival is queued until admitted or failed.
-        Returns the un-audited report and the fleet it ran on.
-
-        Callers run it inside ``learned_cost.activation(self.learned)``
-        — a force-set in both directions, so ``learned=False`` runs are
-        bit-identical to golden even when another component in the
-        process has installed and activated a model."""
+        Returns the un-audited report and the fleet it ran on."""
         if max_queue_depth is not None and max_queue_depth < 1:
             raise InvalidConfigError("max_queue_depth must be >= 1")
-        if slo_wait_seconds is not None and slo_wait_seconds < 0:
-            raise InvalidConfigError("slo_wait_seconds must be >= 0")
+        if slo_wait_seconds is not None and not (
+            math.isfinite(slo_wait_seconds) and slo_wait_seconds >= 0
+        ):
+            raise InvalidConfigError(
+                f"slo_wait_seconds must be finite and >= 0, got "
+                f"{slo_wait_seconds!r}"
+            )
         if compact_every is not None and compact_every < 1:
             raise InvalidConfigError("compact_every must be >= 1")
         self._solo_facts.clear()  # left over if an error cut a run short
@@ -1981,6 +1964,12 @@ class QueryScheduler:
                 if wake is not None and wake > clock:
                     times.append(wake)
             if not times:  # pragma: no cover - loop condition re-check
+                if next_req is not None:
+                    raise SchedulingError(
+                        f"serving loop stalled at t={clock} with "
+                        f"{next_req.qid!r} (submit_at "
+                        f"{next_req.submit_at!r}) never pulled"
+                    )
                 break
             clock = min(times)
             due: list[tuple[float, str, int]] = []

@@ -26,6 +26,7 @@ planning work is all cache hits.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import replace
 from typing import Iterator
@@ -62,6 +63,14 @@ DEADLINE_CLASSES: tuple[QueryClass, ...] = (
 #: length-4 class cycle, so every (class, tenant) pair occurs and the
 #: weighted-fair ledger sees real cross-tenant contention.
 TENANTS: tuple[str, ...] = ("tenant-a", "tenant-b", "tenant-c")
+
+
+def _check_positive(name: str, value: float) -> None:
+    """Reject a generator knob that is NaN, infinite or not positive."""
+    if not (math.isfinite(value) and value > 0):
+        raise InvalidConfigError(
+            f"{name} must be finite and positive, got {value!r}"
+        )
 
 
 def _scaled_class(
@@ -107,8 +116,7 @@ def with_classes(
     """
     if not classes:
         raise InvalidConfigError("classes must be non-empty")
-    if deadline_scale <= 0:
-        raise InvalidConfigError("deadline_scale must be positive")
+    _check_positive("deadline_scale", deadline_scale)
     cache: dict = {}
     return [
         replace(
@@ -157,8 +165,7 @@ def mixed_workload(
     """
     if n_queries <= 0:
         raise InvalidConfigError("n_queries must be positive")
-    if scale <= 0:
-        raise InvalidConfigError("scale must be positive")
+    _check_positive("scale", scale)
     requests: list[QueryRequest] = []
     for i in range(n_queries):
         wobble = _WOBBLE[(i // 4) % len(_WOBBLE)]
@@ -321,12 +328,10 @@ def stream_workload(
     """
     if n_queries <= 0:
         raise InvalidConfigError("n_queries must be positive")
-    if arrival_rate <= 0:
-        raise InvalidConfigError("arrival_rate must be positive")
+    _check_positive("arrival_rate", arrival_rate)
     if classes is not None and not classes:
         raise InvalidConfigError("classes must be non-empty (or None)")
-    if deadline_scale <= 0:
-        raise InvalidConfigError("deadline_scale must be positive")
+    _check_positive("deadline_scale", deadline_scale)
     rng = random.Random(seed)
     cache: dict = {}
     clock = 0.0

@@ -115,3 +115,16 @@ def test_serve_main_stream_cli(tmp_path, capsys):
 def test_serve_main_stream_excludes_sweep_flags(capsys):
     with pytest.raises(SystemExit):
         serve_main(["--stream", "--clients", "4"])
+
+
+@pytest.mark.parametrize(
+    "flag,value",
+    [("--arrival-rate", "nan"), ("--scale", "nan"),
+     ("--deadline-scale", "inf"), ("--scale", "0")],
+)
+def test_serve_main_rejects_bad_workload_knobs(flag, value, capsys):
+    with pytest.raises(SystemExit):
+        serve_main(["--stream", "--arrivals", "200", flag, value,
+                    "--out", "-"])
+    assert f"argument {flag}: must be a finite number above 0, got " \
+        f"'{value}'" in capsys.readouterr().err

@@ -306,32 +306,33 @@ def test_reset_stats_zeroes_every_counter():
     strategy.estimate(SPEC)
     estimate_cache.cached_plan(("p",), lambda: 1)
     estimate_cache.cached_ladder_choice(("l",), lambda: "x")
+    estimate_cache.cached_facts(("f",), lambda: 1)
     estimate_cache.reset_stats()
     stats = estimate_cache.stats()
     assert (stats.hits, stats.misses, stats.evictions) == (0, 0, 0)
     assert (stats.plan_hits, stats.plan_misses) == (0, 0)
     assert (stats.ladder_hits, stats.ladder_misses) == (0, 0)
-    assert (stats.store_hits, stats.plan_store_hits,
-            stats.ladder_store_hits) == (0, 0, 0)
+    assert (stats.facts_hits, stats.facts_misses) == (0, 0)
     assert stats.entries == 1  # entries are not stats
 
 
 def test_attached_store_serves_misses_and_takes_writes():
-    from repro.core.sample_store import SampleStore
-
-    store = SampleStore()
-    estimate_cache.attach_store(store)
-    try:
-        first = create_strategy("gpu_resident").estimate(SPEC)
-        assert store.cached_entries[0] == 1  # write-through on compute
-        estimate_cache.clear()  # drop the LRU, keep the store
-        second = create_strategy("gpu_resident").estimate(SPEC)
-        assert second == first
-        stats = estimate_cache.stats()
-        assert stats.store_hits == 1
-        assert stats.misses == 1  # a store hit still counts the miss
-    finally:
-        estimate_cache.detach_store()
+    """The in-process LRU is the only store: a miss computes and writes
+    the entry, a repeat is served from it, and once dropped the value is
+    recomputed bit-identically.  No external store can be attached."""
+    assert [name for name in vars(estimate_cache)
+            if "attach" in name or name.endswith("_store")] == []
+    assert [name for name in dir(estimate_cache.stats()) if "store" in name] == []
+    first = create_strategy("gpu_resident").estimate(SPEC)
+    stats = estimate_cache.stats()
+    assert (stats.hits, stats.misses, stats.entries) == (0, 1, 1)
+    assert create_strategy("gpu_resident").estimate(SPEC) == first
+    assert estimate_cache.stats().hits == 1
+    estimate_cache.clear()  # drop the LRU: nothing else holds the value
+    second = create_strategy("gpu_resident").estimate(SPEC)
+    assert second == first
+    stats = estimate_cache.stats()
+    assert (stats.hits, stats.misses) == (0, 1)
 
 
 def test_eviction_never_changes_results():

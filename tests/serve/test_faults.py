@@ -427,8 +427,9 @@ def test_fleet_event_schedule_validated_before_any_mutation():
 
 
 def test_fault_plan_validation_rejects_bad_plans():
-    with pytest.raises(FaultPlanError, match=">= 0"):
-        DeviceCrash(at=-1.0, device=0)
+    for bad in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(FaultPlanError, match=f">= 0, got {bad}"):
+            DeviceCrash(at=bad, device=0)
     with pytest.raises(FaultPlanError, match=">= 0"):
         DeviceCrash(at=0.0, device=-1)
     with pytest.raises(FaultPlanError, match="sorted"):

@@ -229,8 +229,9 @@ def test_fleet_event_and_retirement_validation():
         FleetEvent(at=0.0, action="retire")
     with pytest.raises(InvalidConfigError, match="unknown"):
         FleetEvent(at=0.0, action="rebalance")
-    with pytest.raises(InvalidConfigError, match=">= 0"):
-        FleetEvent(at=-1.0, action="retire", device=0)
+    for bad in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(InvalidConfigError, match=f">= 0, got {bad}"):
+            FleetEvent(at=bad, action="retire", device=0)
 
     fleet = DeviceFleet([DEFAULT_CAP, DEFAULT_CAP])
     with pytest.raises(InvalidConfigError, match="unknown device"):
@@ -318,6 +319,11 @@ def test_parse_device_caps():
         parse_device_caps("8,banana", 2)
     with pytest.raises(ValueError, match="positive"):
         parse_device_caps("8,0", 2)
+    # Non-finite entries and ones that truncate to 0 bytes name the
+    # flag and the entry instead of failing later in the scheduler.
+    for bad in ("inf", "nan", "1e-12", "-inf"):
+        with pytest.raises(ValueError, match=f"--device-caps entry 1 \\({bad} GB\\)"):
+            parse_device_caps(f"8,{bad}", 2)
 
 
 def test_parse_device_calib():

@@ -1,66 +1,56 @@
-"""Differential suite for the learned cost-model serving path.
+"""Differential suite: the analytic cost path is the only one serving uses.
 
-Mirrors the placement/fault golden discipline for the ``learned`` flag:
+The scheduler once had an opt-in learned cost model; it was removed and
+the test names below keep that history.  What they check now:
 
-(a) **Inertness** — with a fitted model *installed* process-wide but
-    ``learned=False`` (the default), every recorded golden seed stays
-    bit-identical: installation without activation may not perturb a
-    single admission, placement, reservation or finish time;
-(b) **Safety under activation** — ``learned=True`` on a two-device
-    fleet may legitimately pick different ladder rungs, but every run
-    must still pass the full fault-invariant audit (conservation,
-    arena reconciliation, retry budgets) and replay deterministically;
-(c) **Graceful absence** — ``learned=True`` with no model installed
-    (or an empty model) is exactly the analytic path.
+(a) **Cache warmth is inert** — with the process-wide estimate, plan
+    and ladder caches warmed by other workloads, every recorded golden
+    seed stays bit-identical: a cached answer may not perturb a single
+    admission, placement, reservation or finish time;
+(b) **Safety on a fleet** — a two-device fleet served from warm caches
+    passes the full fault-invariant audit (conservation, arena
+    reconciliation, retry budgets), replays deterministically, and its
+    batch and streaming entry points agree;
+(c) **No second cost path** — the scheduler takes no ``learned``
+    option, the planner takes no calibration/config, and a run from
+    cold or disabled caches is still the golden analytic schedule.
 """
 
+import inspect
 import json
 from pathlib import Path
 
 import pytest
 
 from repro.bench.serve_bench import fingerprint, fingerprint_sharded
-from repro.core import learned_cost, sample_store
-from repro.core.learned_cost import LearnedCostModel
-from repro.core.sample_store import SampleStore
+from repro.core import estimate_cache
+from repro.core.planner import choose_strategy_name
 from repro.serve import QueryScheduler, random_workload
 from repro.serve.faults import FaultPlan, check_fault_invariants
 
 GOLDEN_PATH = Path(__file__).parent / "golden_single_device.json"
 GOLDEN = json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))
 
-#: Every recorded golden seed — the learned-off identity sweep runs all
+#: Every recorded golden seed — the warm-cache identity sweep runs all
 #: of them, same contract as the placement property suite.
 SEEDS = sorted(int(seed) for seed in GOLDEN["seeds"])
 
-#: 50 randomized workloads for the learned-on invariant property.
+#: 50 randomized workloads for the fleet invariant property.
 PROPERTY_SEEDS = tuple(range(0, 100, 2))
 
-#: Workloads whose estimates train the module's fitted model.
-RECORDING_SEEDS = (0, 60, 120, 180)
+#: Workloads whose estimates warm the caches before the module runs.
+WARMING_SEEDS = (0, 60, 120, 180)
 
 
 @pytest.fixture(scope="module")
-def model():
-    """One fitted model for the whole module, trained by recording the
-    estimates of a few golden-seed serve runs."""
-    store = SampleStore()
-    sample_store.attach(store)
-    try:
-        for seed in RECORDING_SEEDS:
-            QueryScheduler(devices=1).run(random_workload(seed))
-    finally:
-        sample_store.detach()
-    fitted = LearnedCostModel.fit(store)
-    assert len(fitted) > 0, "recording produced no fittable fingerprint"
-    return fitted
-
-
-@pytest.fixture
-def installed(model):
-    learned_cost.set_model(model)
-    yield model
-    learned_cost.clear_model()
+def warmed():
+    """Warm the process-wide caches once for the whole module with a
+    few golden-seed serve runs; later tests keep adding to them."""
+    for seed in WARMING_SEEDS:
+        QueryScheduler(devices=1).run(random_workload(seed))
+    stats = estimate_cache.stats()
+    assert stats.entries > 0, "warming left the estimate cache empty"
+    return stats
 
 
 def _golden_matches(report, entry) -> None:
@@ -70,23 +60,21 @@ def _golden_matches(report, entry) -> None:
 
 
 # ---------------------------------------------------------------------------
-# (a) learned-off bit-identity on every golden seed
+# (a) warm caches leave every golden seed bit-identical
 # ---------------------------------------------------------------------------
 @pytest.mark.parametrize("seed", SEEDS)
-def test_learned_off_bit_identical_to_golden(seed, installed):
-    report = QueryScheduler(devices=1, learned=False).run(
-        random_workload(seed)
-    )
+def test_learned_off_bit_identical_to_golden(seed, warmed):
+    report = QueryScheduler(devices=1).run(random_workload(seed))
     _golden_matches(report, GOLDEN["seeds"][str(seed)])
 
 
 # ---------------------------------------------------------------------------
-# (b) learned-on keeps every serving invariant
+# (b) a fleet served from warm caches keeps every serving invariant
 # ---------------------------------------------------------------------------
 @pytest.mark.parametrize("seed", PROPERTY_SEEDS)
-def test_learned_on_satisfies_fault_invariants(seed, installed):
+def test_learned_on_satisfies_fault_invariants(seed, warmed):
     requests = random_workload(seed)
-    scheduler = QueryScheduler(devices=2, learned=True)
+    scheduler = QueryScheduler(devices=2)
     report = scheduler.run(random_workload(seed))
     check_fault_invariants(
         report,
@@ -101,27 +89,21 @@ def test_learned_on_satisfies_fault_invariants(seed, installed):
 
 
 @pytest.mark.parametrize("seed", (0, 70, 190))
-def test_learned_on_replays_deterministically(seed, installed):
-    first = QueryScheduler(devices=2, learned=True).run(
-        random_workload(seed)
-    )
-    second = QueryScheduler(devices=2, learned=True).run(
-        random_workload(seed)
-    )
+def test_learned_on_replays_deterministically(seed, warmed):
+    first = QueryScheduler(devices=2).run(random_workload(seed))
+    estimate_cache.clear()
+    second = QueryScheduler(devices=2).run(random_workload(seed))
     assert fingerprint_sharded(first) == fingerprint_sharded(second)
     assert first.makespan == second.makespan
 
 
-def test_learned_on_matches_batch_mode(installed):
-    """Both entry points of the one loop agree under activation: the
-    learned path changes which estimates feed the scheduler, never the
-    admission algebra, so ``run`` over a batch equals ``run_stream``
-    (shedding off, aggressive compaction) over the same requests."""
+def test_learned_on_matches_batch_mode(warmed):
+    """Both entry points of the one loop agree on a fleet: ``run`` over
+    a batch equals ``run_stream`` (shedding off, aggressive compaction)
+    over the same requests."""
     for seed in (0, 70):
-        batch = QueryScheduler(devices=2, learned=True).run(
-            random_workload(seed)
-        )
-        stream = QueryScheduler(devices=2, learned=True).run_stream(
+        batch = QueryScheduler(devices=2).run(random_workload(seed))
+        stream = QueryScheduler(devices=2).run_stream(
             iter(random_workload(seed)), compact_every=1
         )
         assert sorted(fingerprint_sharded(batch)) == sorted(
@@ -131,23 +113,27 @@ def test_learned_on_matches_batch_mode(installed):
 
 
 # ---------------------------------------------------------------------------
-# (c) the flag without a model is the analytic path
+# (c) there is no second cost path
 # ---------------------------------------------------------------------------
 def test_learned_flag_without_model_is_analytic():
-    learned_cost.clear_model()
+    assert "learned" not in inspect.signature(QueryScheduler).parameters
+    with pytest.raises(TypeError):
+        QueryScheduler(devices=1, learned=True)
+    estimate_cache.clear()
     seed = SEEDS[0]
-    baseline = QueryScheduler(devices=1).run(random_workload(seed))
-    flagged = QueryScheduler(devices=1, learned=True).run(
-        random_workload(seed)
-    )
-    assert fingerprint(flagged) == fingerprint(baseline)
-    _golden_matches(flagged, GOLDEN["seeds"][str(seed)])
+    report = QueryScheduler(devices=1).run(random_workload(seed))
+    _golden_matches(report, GOLDEN["seeds"][str(seed)])
 
 
-def test_empty_model_is_analytic(installed):
-    learned_cost.set_model(LearnedCostModel({}))
+def test_empty_model_is_analytic():
+    params = inspect.signature(choose_strategy_name).parameters
+    assert "calibration" not in params and "config" not in params
     seed = SEEDS[1]
-    report = QueryScheduler(devices=1, learned=True).run(
-        random_workload(seed)
-    )
+    estimate_cache.configure(enabled=False)
+    try:
+        report = QueryScheduler(devices=1).run(random_workload(seed))
+    finally:
+        estimate_cache.configure(
+            enabled=True, max_entries=estimate_cache.DEFAULT_MAX_ENTRIES
+        )
     _golden_matches(report, GOLDEN["seeds"][str(seed)])

@@ -27,11 +27,14 @@ from repro.errors import InvalidConfigError
 from repro.serve import (
     QueryRequest,
     QueryScheduler,
+    mixed_workload,
     percentile,
     random_workload,
     stream_workload,
 )
 from repro.serve.workload import _resident, M
+
+NON_FINITE = (float("nan"), float("inf"), float("-inf"))
 
 #: Seeds of the streaming differential — at least 100 by contract.
 SEEDS = range(120)
@@ -192,12 +195,29 @@ def test_stream_validates_input():
         QueryScheduler().run_stream(iter(dupes))
     with pytest.raises(InvalidConfigError, match="max_queue_depth"):
         QueryScheduler().run_stream(iter([]), max_queue_depth=0)
-    with pytest.raises(InvalidConfigError, match="slo_wait_seconds"):
-        QueryScheduler().run_stream(iter([]), slo_wait_seconds=-1.0)
+    for bad in (-1.0, *NON_FINITE):
+        with pytest.raises(InvalidConfigError, match="slo_wait_seconds"):
+            QueryScheduler().run_stream(iter([]), slo_wait_seconds=bad)
     with pytest.raises(InvalidConfigError, match="compact_every"):
         QueryScheduler().run_stream(iter([]), compact_every=0)
-    with pytest.raises(InvalidConfigError, match="negative slo"):
-        QueryRequest(qid="a", spec=spec, slo_wait_seconds=-0.1)
+    for bad in (-0.1, *NON_FINITE):
+        with pytest.raises(InvalidConfigError, match=f"slo_wait_seconds.*{bad}"):
+            QueryRequest(qid="a", spec=spec, slo_wait_seconds=bad)
+        with pytest.raises(InvalidConfigError, match=f"submit_at.*{bad}"):
+            QueryRequest(qid="a", spec=spec, submit_at=bad)
+
+
+@pytest.mark.parametrize("bad", (0.0, -1.0, *NON_FINITE))
+def test_workload_generators_reject_bad_knobs(bad):
+    """A NaN rate or scale used to slip past the ``<= 0`` checks and
+    yield NaN submit times, which ended a stream after one arrival."""
+    with pytest.raises(InvalidConfigError, match=f"arrival_rate.*{bad}"):
+        next(stream_workload(5, arrival_rate=bad))
+    with pytest.raises(InvalidConfigError, match=f"deadline_scale.*{bad}"):
+        next(stream_workload(5, deadline_scale=bad))
+    with pytest.raises(InvalidConfigError, match=f"scale.*{bad}"):
+        mixed_workload(4, scale=bad)
+
 
 
 def test_empty_stream():
